@@ -19,29 +19,12 @@ import time
 from collections import Counter
 
 from zariski import (
-    FixtureSpec,
     brute_force_decompose,
     decompose,
     gen_model,
     gen_pseudoeffective_class,
+    spec_grid,
 )
-
-
-def spec_grid(models: int, seed: int, max_rank: int) -> list[FixtureSpec]:
-    specs = []
-    span = max_rank - 1  # ranks 2..max_rank
-    for i in range(models):
-        rank = 2 + (i % span)
-        cap = 2 if rank == 2 else min(rank, 6)
-        specs.append(
-            FixtureSpec(
-                rank=rank,
-                prime_count=i % (cap + 1),
-                seed=seed + i,
-                coefficient_bound=3 + (i % 2),
-            )
-        )
-    return specs
 
 
 def main() -> int:

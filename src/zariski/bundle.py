@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .engine import InternalInconsistencyError, NotPseudoEffectiveError
-from .exact import MixedRadicandError, QuadExt, quadratic_roots
-
-Scalar = Union[Fraction, QuadExt]
+from .exact import MixedRadicandError, QuadExt, Scalar, quadratic_roots
 
 
 class IrrationalClassError(ValueError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
 
@@ -25,7 +26,7 @@ from .engine import (
     enumerate_exceptional_families,
     verify_certificate,
 )
-from .exact import vec_scale, vec_sub
+from .exact import SquarefreeBoundError, combine
 from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
 from .serialize import (
     FormatError,
@@ -142,14 +143,11 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
     # Re-derive the positive part from the raw class and the stored
     # coefficients, so tampering with either side is caught by the
     # certificate conditions themselves rather than trusted fields.
-    derived = doc.alpha
-    known = model.prime_names()
-    for name, coeff in doc.negative_coeffs.items():
-        if name in known:
-            derived = vec_sub(
-                derived,
-                vec_scale(coeff, model.primes[model.prime_index(name)].vec),
-            )
+    vec_of = model.prime_vec
+    derived = combine(
+        doc.alpha,
+        ((-c, vec_of[n]) for n, c in doc.negative_coeffs.items() if n in vec_of),
+    )
     cert, violations = verify_certificate(
         model, doc.alpha, derived, doc.negative_coeffs
     )
@@ -170,19 +168,13 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
             f"stored volume {doc.volume} differs from recomputed "
             f"{recomputed_volume}"
         )
-    certificate = {
-        "orthogonality_checked": cert.orthogonality_checked,
-        "gram_negative_definite_checked": cert.gram_negative_definite_checked,
-        "effectivity_checked": cert.effectivity_checked,
-        "dual_nef_checked": cert.dual_nef_checked,
-    }
     result = {
         "violations": violations,
         "volume_recomputed": format_rational(recomputed_volume),
         "ok": not violations,
     }
     code = EXIT_OK if not violations else EXIT_CHECK_FAILED
-    return result, certificate, code
+    return result, asdict(cert), code
 
 
 def cmd_validate(args) -> tuple[dict, dict | None, int]:
@@ -201,12 +193,7 @@ def cmd_fixtures(args) -> tuple[dict, dict | None, int]:
     model = gen_model(spec)
     document = model_to_json(model)
     result = {
-        "spec": {
-            "rank": spec.rank,
-            "prime_count": spec.prime_count,
-            "seed": spec.seed,
-            "coefficient_bound": spec.coefficient_bound,
-        },
+        "spec": asdict(spec),
         "model": document,
     }
     if args.out:
@@ -340,6 +327,7 @@ def main(argv=None) -> int:
         FormatError,
         InvalidModelError,
         GenerationExhaustedError,
+        SquarefreeBoundError,
         FileNotFoundError,
         IsADirectoryError,
         PermissionError,

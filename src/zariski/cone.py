@@ -8,6 +8,7 @@ against which decompositions are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +63,11 @@ class ConeModel:
 
     def q(self, u: Sequence, v: Sequence) -> Fraction:
         return inner(self.form, u, v)
+
+    @cached_property
+    def prime_vec(self) -> dict[str, Vector]:
+        """Prime class vectors by name; the first wins on a duplicate name."""
+        return {p.name: p.vec for p in reversed(self.primes)}
 
     def prime_index(self, name: str) -> int:
         for i, p in enumerate(self.primes):

@@ -16,22 +16,21 @@ independent of the order in which primes are listed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .cone import ConeModel
 from .exact import (
+    DimensionMismatchError,
     Vector,
     as_vector,
+    combine,
     gram_matrix,
     inner,
     is_negative_definite,
     solve_symmetric,
-    vec_add,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
 
@@ -71,12 +70,7 @@ class Certificate:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.orthogonality_checked
-            and self.gram_negative_definite_checked
-            and self.effectivity_checked
-            and self.dual_nef_checked
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -91,10 +85,10 @@ class Decomposition:
     certificate: Certificate
 
     def negative_vector(self, model: ConeModel) -> Vector:
-        total = zero_vector(len(self.alpha))
-        for name, coeff in self.negative_coeffs.items():
-            total = vec_add(total, vec_scale(coeff, model.primes[model.prime_index(name)].vec))
-        return total
+        return combine(
+            zero_vector(len(self.alpha)),
+            ((c, model.prime_vec[n]) for n, c in self.negative_coeffs.items()),
+        )
 
 
 def verify_certificate(
@@ -110,17 +104,13 @@ def verify_certificate(
     is checked as well even though it is not part of the certificate type.
     """
     violations: list[str] = []
-    known = model.prime_names()
+    vec_of = model.prime_vec
     for name in negative_coeffs:
-        if name not in known:
+        if name not in vec_of:
             violations.append(f"unknown prime '{name}' in negative part")
-    usable = {n: c for n, c in negative_coeffs.items() if n in known}
+    usable = {n: c for n, c in negative_coeffs.items() if n in vec_of}
 
-    reconstructed = positive_part
-    for name, coeff in usable.items():
-        reconstructed = vec_add(
-            reconstructed, vec_scale(coeff, model.primes[model.prime_index(name)].vec)
-        )
+    reconstructed = combine(positive_part, ((c, vec_of[n]) for n, c in usable.items()))
     if reconstructed != alpha:
         violations.append(
             "reconstruction failed: positive part plus negative part "
@@ -129,16 +119,14 @@ def verify_certificate(
 
     orthogonal = True
     for name in usable:
-        pairing = model.q(positive_part, model.primes[model.prime_index(name)].vec)
+        pairing = model.q(positive_part, vec_of[name])
         if pairing != 0:
             orthogonal = False
             violations.append(
                 f"orthogonality violated: q(positive_part, {name}) = {pairing}"
             )
 
-    support_vecs = [
-        model.primes[model.prime_index(n)].vec for n, c in usable.items() if c > 0
-    ]
+    support_vecs = [vec_of[n] for n, c in usable.items() if c > 0]
     negdef = is_negative_definite(gram_matrix(model.form, support_vecs))
     if not negdef:
         violations.append("support Gram matrix is not negative definite")
@@ -152,13 +140,7 @@ def verify_certificate(
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
-    cert = Certificate(
-        orthogonality_checked=orthogonal,
-        gram_negative_definite_checked=negdef,
-        effectivity_checked=effective,
-        dual_nef_checked=dual_nef,
-    )
-    return cert, violations
+    return Certificate(orthogonal, negdef, effective, dual_nef), violations
 
 
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
@@ -176,8 +158,6 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     form = model.form
     primes = model.primes
     if len(alpha) != model.rank:
-        from .exact import DimensionMismatchError
-
         raise DimensionMismatchError(
             f"class of length {len(alpha)} against a rank-{model.rank} model"
         )
@@ -206,9 +186,7 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
             )
         rhs = [inner(form, alpha, v) for v in vecs]
         coeffs = solve_symmetric(gram, rhs)
-        current = alpha
-        for c, v in zip(coeffs, vecs):
-            current = vec_sub(current, vec_scale(c, v))
+        current = combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
 
     if not model.in_positive_cone_closure(current):
         raise NotPseudoEffectiveError(
@@ -268,12 +246,12 @@ def is_big(model: ConeModel, alpha: Sequence) -> bool:
 
 def is_exceptional_family(model: ConeModel, names: Sequence[str]) -> bool:
     """Whether the named primes have a negative definite Gram matrix."""
-    known = model.prime_names()
+    vec_of = model.prime_vec
     vecs = []
     for name in names:
-        if name not in known:
+        if name not in vec_of:
             raise UnknownPrimeError(name)
-        vecs.append(model.primes[model.prime_index(name)].vec)
+        vecs.append(vec_of[name])
     return is_negative_definite(gram_matrix(model.form, vecs))
 
 
@@ -335,9 +313,7 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
             coeffs = solve_symmetric(gram, rhs) if subset else ()
             if any(c < 0 for c in coeffs):
                 continue
-            residual = alpha
-            for c, v in zip(coeffs, vecs):
-                residual = vec_sub(residual, vec_scale(c, v))
+            residual = combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
             if not model.is_dual_nef(residual):
                 continue
             positive = tuple(

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 Scalar = Union[Fraction, "QuadExt"]
 
@@ -39,6 +38,10 @@ class DimensionMismatchError(ValueError):
     """Vector or matrix dimensions do not agree."""
 
 
+class SquarefreeBoundError(ValueError):
+    """The radicand-reduction bound from the environment is not a positive integer."""
+
+
 class CanonicalizationWarning(UserWarning):
     """A radicand could not be certified squarefree within the bound."""
 
@@ -51,11 +54,11 @@ def squarefree_bound() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(
+        raise SquarefreeBoundError(
             f"{SQUAREFREE_BOUND_ENV} must be an integer, got {raw!r}"
         ) from exc
     if value < 1:
-        raise ValueError(f"{SQUAREFREE_BOUND_ENV} must be positive, got {value}")
+        raise SquarefreeBoundError(f"{SQUAREFREE_BOUND_ENV} must be positive, got {value}")
     return value
 
 
@@ -342,10 +345,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, u: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in u)
@@ -353,6 +352,15 @@ def vec_scale(c, u: Vector) -> Vector:
 
 def zero_vector(rank: int) -> Vector:
     return (Fraction(0),) * rank
+
+
+def combine(base: Vector, terms: Iterable[tuple[Fraction, Vector]]) -> Vector:
+    """``base + sum(c * v for c, v in terms)``; zero coefficients are skipped."""
+    total = base
+    for c, v in terms:
+        if c:
+            total = tuple(a + c * b for a, b in zip(total, v, strict=True))
+    return total
 
 
 @dataclass(frozen=True)
@@ -464,8 +472,8 @@ def is_negative_definite(gram: SymmetricForm) -> bool:
 
     Symmetric elimination without row exchanges yields pivots equal to
     ratios of leading principal minors; the matrix is negative definite
-    iff every pivot is negative.  A zero pivot (impossible for a definite
-    matrix) falls back to the full congruence signature.
+    iff every pivot is negative (Sylvester's criterion).  A zero pivot means
+    a leading principal minor vanishes, so the matrix is not definite.
     """
     n = gram.rank
     if n == 0:
@@ -473,9 +481,7 @@ def is_negative_definite(gram: SymmetricForm) -> bool:
     m = gram.rows()
     for k in range(n):
         p = m[k][k]
-        if p == 0:
-            return signature(gram) == (0, n, 0)
-        if p > 0:
+        if p >= 0:
             return False
         for i in range(k + 1, n):
             if m[i][k]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .cone import ConeModel, cone_model
-from .exact import Vector, as_vector, vec_add, vec_scale, zero_vector
+from .exact import Vector, as_vector, combine, zero_vector
 from .serialize import FormatError
 
 
@@ -45,6 +45,18 @@ class FixtureSpec:
             )
 
 
+def spec_grid(count: int, seed: int = 1000, max_rank: int = 6) -> list[FixtureSpec]:
+    """Deterministic spec grid: ranks cycling 2..max_rank, every feasible
+    prime count, consecutive seeds from `seed`, coefficient bounds 3 and 4."""
+    specs = []
+    for i in range(count):
+        rank = 2 + i % (max_rank - 1)
+        cap = 2 if rank == 2 else rank
+        specs.append(FixtureSpec(rank=rank, prime_count=i % (cap + 1),
+                                 seed=seed + i, coefficient_bound=3 + i % 2))
+    return specs
+
+
 def parse_spec_literal(text: str) -> FixtureSpec:
     """Parse ``"rank,primes,seed[,bound]"`` into a FixtureSpec."""
     parts = [p.strip() for p in text.split(",")]
@@ -71,9 +83,13 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _random_unimodular(rng: random.Random, n: int, bound: int) -> list[list[int]]:
-    """Random integer matrix of determinant +-1 with entries within `bound`."""
-    u = _identity(n)
+def _random_unimodular(
+    rng: random.Random, n: int, bound: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Random integer matrix of determinant +-1 with entries within `bound`,
+    and its inverse: each row operation on ``u`` is undone on the columns of
+    the inverse, so ``u * inverse == I`` throughout."""
+    u, inv = _identity(n), _identity(n)
     for _ in range(4 * n * n + 8):
         op = rng.randrange(4)
         i, j = rng.randrange(n), rng.randrange(n)
@@ -82,33 +98,17 @@ def _random_unimodular(rng: random.Random, n: int, bound: int) -> list[list[int]
             candidate = [u[i][k] + sign * u[j][k] for k in range(n)]
             if max(abs(x) for x in candidate) <= bound:
                 u[i] = candidate
+                for row in inv:
+                    row[j] -= sign * row[i]
         elif op == 1 and i != j:
             u[i], u[j] = u[j], u[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         elif op == 2:
             u[i] = [-x for x in u[i]]
-    return u
-
-
-def _integer_inverse(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for k in range(n):
-        pivot = next(i for i in range(k, n) if aug[i][k] != 0)
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        p = aug[k][k]
-        aug[k] = [x / p for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    inverse = [[row[n + j] for j in range(n)] for row in aug]
-    out = []
-    for row in inverse:
-        assert all(x.denominator == 1 for x in row), "unimodular inverse must be integral"
-        out.append([x.numerator for x in row])
-    return out
+            for row in inv:
+                row[i] = -row[i]
+    return u, inv
 
 
 def _diag_pair(w: list[int], w2: list[int]) -> int:
@@ -137,8 +137,7 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
     """
     rng = random.Random(spec.seed)
     n, bound = spec.rank, spec.coefficient_bound
-    u = _random_unimodular(rng, n, bound)
-    v = _integer_inverse(u)
+    u, v = _random_unimodular(rng, n, bound)
 
     # form in model coordinates: Q = U^T diag(1, -1, ..., -1) U
     signs = [1] + [-1] * (n - 1)
@@ -227,7 +226,7 @@ def _boundary_classes(
         if not _is_square(disc):
             continue
         a = (-qhv + _sqrt_exact(disc)) / qh
-        boundary = _primitive(vec_add(vec_scale(a, model.h), v))
+        boundary = _primitive(combine(v, [(a, model.h)]))
         if all(x == 0 for x in boundary):
             continue
         found.append(boundary)
@@ -246,8 +245,5 @@ def gen_pseudoeffective_class(model: ConeModel, seed: int) -> Vector:
     parts: list[Vector] = [model.h]
     parts.extend(_boundary_classes(model, rng, want=2))
     parts.extend(p.vec for p in model.primes)
-    total = zero_vector(model.rank)
-    for part in parts:
-        coeff = Fraction(rng.randint(0, 3), rng.randint(1, 3))
-        total = vec_add(total, vec_scale(coeff, part))
-    return total
+    coeffs = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in parts]
+    return combine(zero_vector(model.rank), zip(coeffs, parts))

@@ -8,7 +8,7 @@ they never feed back into any computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -120,7 +120,10 @@ def dump_model(model: ConeModel, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,12 +148,7 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
         },
         "support": list(dec.support),
         "volume": format_rational(qzz**model.m),
-        "certificate": {
-            "orthogonality_checked": dec.certificate.orthogonality_checked,
-            "gram_negative_definite_checked": dec.certificate.gram_negative_definite_checked,
-            "effectivity_checked": dec.certificate.effectivity_checked,
-            "dual_nef_checked": dec.certificate.dual_nef_checked,
-        },
+        "certificate": asdict(dec.certificate),
         "iterations": dec.iterations,
     }
 
@@ -184,6 +182,9 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
     certificate = data.get("certificate", {})
     if not isinstance(certificate, dict):
         raise FormatError("certificate must be an object of booleans")
+    iterations = data.get("iterations", 0)
+    if not isinstance(iterations, int):
+        raise FormatError(f"iterations must be an integer, got {iterations!r}")
     return DecompositionDocument(
         alpha=vector_from_json(data["alpha"]),
         positive_part=vector_from_json(data["positive_part"]),
@@ -191,7 +192,7 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
         support=tuple(support),
         volume=parse_rational(data["volume"]),
         certificate={k: bool(v) for k, v in certificate.items()},
-        iterations=int(data.get("iterations", 0)),
+        iterations=iterations,
     )
 
 
@@ -206,12 +207,7 @@ def rebuild_decomposition(
         support=doc.support,
         iterations=doc.iterations,
         certificate=Certificate(
-            orthogonality_checked=doc.certificate.get("orthogonality_checked", False),
-            gram_negative_definite_checked=doc.certificate.get(
-                "gram_negative_definite_checked", False
-            ),
-            effectivity_checked=doc.certificate.get("effectivity_checked", False),
-            dual_nef_checked=doc.certificate.get("dual_nef_checked", False),
+            **{f.name: doc.certificate.get(f.name, False) for f in fields(Certificate)}
         ),
     )
 

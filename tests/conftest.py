@@ -12,6 +12,7 @@ from zariski import (
     decompose,
     gen_model,
     gen_pseudoeffective_class,
+    spec_grid,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -53,20 +54,8 @@ def affine_a2() -> ConeModel:
 
 
 def grid_specs(count: int = 200) -> list[FixtureSpec]:
-    """Deterministic spec grid: ranks 2-6, feasible prime counts, fixed seeds."""
-    specs = []
-    for i in range(count):
-        rank = 2 + (i % 5)
-        cap = 2 if rank == 2 else min(rank, 6)
-        specs.append(
-            FixtureSpec(
-                rank=rank,
-                prime_count=i % (cap + 1),
-                seed=1000 + i,
-                coefficient_bound=3 + (i % 2),
-            )
-        )
-    return specs
+    """The shared spec grid: ranks 2-6, feasible prime counts, seeds from 1000."""
+    return spec_grid(count)
 
 
 @pytest.fixture(scope="session")

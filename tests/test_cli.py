@@ -103,6 +103,35 @@ def test_classes_file_must_be_array(tmp_path, capsys):
     assert "array" in report["error"]["message"]
 
 
+DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "bound, content, argv, fragment",
+    [
+        (None, json.dumps({**DEC_S1, "iterations": "abc"}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "iterations must be an integer"),
+        (None, b'{"rank": 2, "form": "\xff"}',
+         ["decompose", "--model", "{file}", "--class=1,2"], "not valid UTF-8"),
+        ("abc", None, ["cutkosky", "--base", "1,2,1"], "must be an integer"),
+        ("0", None, ["cutkosky", "--base", "1,2,1"], "must be positive"),
+    ],
+    ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero"],
+)
+def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
+                                    monkeypatch, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    if bound is not None:
+        monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", bound)
+    code, report = run_cli([a.replace("{file}", str(path)) for a in argv], capsys)
+    assert code == 3
+    assert report["error"]["category"] == "invalid-input"
+    assert fragment in report["error"]["message"]
+
+
 def test_infeasible_fixture_spec_is_invalid_input(capsys):
     code, report = run_cli(["fixtures", "--spec", "2,6,3"], capsys)
     assert code == 3

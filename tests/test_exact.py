@@ -272,8 +272,9 @@ def test_negative_definite_examples():
     assert not is_negative_definite(
         symmetric_form([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
     )
-    # zero leading pivot exercises the congruence fallback
+    # a zero pivot, first in the leading position, then in a later one
     assert not is_negative_definite(symmetric_form([[0, 1], [1, -1]]))
+    assert not is_negative_definite(symmetric_form([[-1, 1], [1, -1]]))
 
 
 def test_solve_symmetric_examples():
@@ -281,6 +282,9 @@ def test_solve_symmetric_examples():
     assert solve_symmetric(g, [-3, 0]) == (Q(2), Q(1))
     g2 = symmetric_form([[-2, 0], [0, -2]])
     assert solve_symmetric(g2, [-2, -4]) == (Q(1), Q(2))
+    # zero leading pivot: the solve must exchange rows
+    g3 = symmetric_form([[0, 1], [1, 0]])
+    assert solve_symmetric(g3, [2, 3]) == (Q(3), Q(2))
 
 
 def test_solve_symmetric_singular():

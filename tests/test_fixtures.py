@@ -1,6 +1,8 @@
 """Deterministic model generation: reproducibility, validity, exhaustion."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from zariski import (
@@ -11,7 +13,7 @@ from zariski import (
     gen_model,
     gen_pseudoeffective_class,
 )
-from zariski.fixtures import parse_spec_literal
+from zariski.fixtures import _random_unimodular, parse_spec_literal, spec_grid
 
 
 def test_generation_is_deterministic():
@@ -39,6 +41,15 @@ def test_generated_models_are_valid_across_specs():
             assert model.prime_names() == tuple(
                 f"p{k + 1}" for k in range(prime_count)
             )
+
+
+def test_random_unimodular_returns_its_inverse():
+    for spec in spec_grid(200):
+        n = spec.rank
+        u, inv = _random_unimodular(random.Random(spec.seed), n, spec.coefficient_bound)
+        product = [[sum(u[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)], spec
 
 
 def test_rank2_cannot_host_many_primes():

@@ -4,8 +4,11 @@
 Generates a deterministic grid of random Lorentzian models, draws
 pseudo-effective classes on each, decomposes every class twice — once with
 the production engine, once by exhaustive enumeration over all candidate
-supports — and insists on exact agreement.  Prints a chamber-size histogram
-and timing summary.  Exits nonzero on any disagreement.
+supports — and insists on exact agreement.  Also checks on every model that
+``enumerate_exceptional_families`` lists exactly the prime subsets that pass
+``is_exceptional_family``, in lexicographic order.  Prints chamber-size and
+family-count histograms and a timing summary.  Exits nonzero on any
+disagreement.
 
 Usage:
     python3 scripts/oracle_sweep.py
@@ -17,14 +20,30 @@ import argparse
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 from zariski import (
     brute_force_decompose,
     decompose,
+    enumerate_exceptional_families,
     gen_model,
     gen_pseudoeffective_class,
+    is_exceptional_family,
     spec_grid,
 )
+
+
+def naive_families(model) -> list[tuple[str, ...]]:
+    """Every prime subset up to the rank with a negative definite Gram,
+    in the lexicographic order of prime indices."""
+    names = model.prime_names()
+    subsets = [
+        s
+        for size in range(model.rank + 1)
+        for s in combinations(range(len(names)), size)
+        if is_exceptional_family(model, [names[i] for i in s])
+    ]
+    return [tuple(names[i] for i in s) for s in sorted(subsets)]
 
 
 def main() -> int:
@@ -40,10 +59,21 @@ def main() -> int:
     started = time.perf_counter()
     support_sizes: Counter[int] = Counter()
     iteration_counts: Counter[int] = Counter()
+    family_counts: Counter[int] = Counter()
     mismatches = 0
     cases = 0
     for spec in spec_grid(args.models, args.seed, args.max_rank):
         model = gen_model(spec)
+        families, naive = enumerate_exceptional_families(model), naive_families(model)
+        if families != naive:
+            mismatches += 1
+            print(
+                f"MISMATCH spec={spec} exceptional families:\n"
+                f"  walk:  {families}\n"
+                f"  naive: {naive}",
+                file=sys.stderr,
+            )
+        family_counts[len(families)] += 1
         for k in range(args.classes):
             alpha = gen_pseudoeffective_class(model, spec.seed * 10 + k)
             fast = decompose(model, alpha)
@@ -67,10 +97,11 @@ def main() -> int:
     print(f"{args.models} models, {cases} classes, {elapsed:.2f} s")
     print("support sizes: ", dict(sorted(support_sizes.items())))
     print("iteration counts:", dict(sorted(iteration_counts.items())))
+    print("family counts: ", dict(sorted(family_counts.items())))
     if mismatches:
         print(f"{mismatches} disagreements", file=sys.stderr)
         return 1
-    print("engine agrees with exhaustive search on every case")
+    print("engine agrees with exhaustive search on every case and family list")
     return 0
 
 

@@ -70,6 +70,8 @@ def cmd_decompose(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_exceptional(args) -> tuple[dict, dict | None, int]:
+    if args.max_size is not None and args.max_size < 0:
+        raise FormatError(f"--max-size must be nonnegative, got {args.max_size}")
     model = _load_valid_model(args.model)
     families = enumerate_exceptional_families(model, args.max_size)
     effective_cap = model.rank if args.max_size is None else min(args.max_size, model.rank)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .cone import ConeModel
@@ -260,26 +261,51 @@ def enumerate_exceptional_families(
 ) -> list[tuple[str, ...]]:
     """All exceptional families up to `max_size`, in lexicographic order.
 
-    The search extends a family one prime at a time and prunes as soon as a
-    Gram matrix stops being negative definite, which is complete because
-    definiteness is inherited by principal submatrices.  Sizes are capped
-    at the lattice rank; larger families cannot be negative definite.
+    The prime Gram matrix is built once, scaled by a positive common
+    denominator and negated, giving an integer matrix ``M`` that is positive
+    definite on exactly the exceptional families.  A depth-first walk
+    extends a family one prime at a time and carries the fraction-free
+    (Bareiss) Schur complement of the primes that may still extend it: entry
+    ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, so adding
+    prime ``j`` keeps ``M`` positive definite iff ``S[j][j] > 0`` (Sylvester).
+    A prime whose bordered minor is not positive is dropped for the whole
+    subtree, because definiteness is inherited by principal submatrices.
+    Sizes are capped at the lattice rank; larger families cannot be
+    negative definite.
     """
     cap = model.rank if max_size is None else max(0, min(max_size, model.rank))
-    primes = model.primes
+    names = model.prime_names()
+    gram = gram_matrix(model.form, [p.vec for p in model.primes]).entries
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    m = [[-x.numerator * (scale // x.denominator) for x in row] for row in gram]
     out: list[tuple[str, ...]] = [()]
 
-    def extend(start: int, idx: list[int]) -> None:
-        if len(idx) >= cap:
-            return
-        for j in range(start, len(primes)):
-            cand = idx + [j]
-            vecs = [primes[i].vec for i in cand]
-            if is_negative_definite(gram_matrix(model.form, vecs)):
-                out.append(tuple(primes[i].name for i in cand))
-                extend(j + 1, cand)
+    def bareiss(pivot: int, ab: int, aj: int, jb: int, prev: int) -> int:
+        minor, rest = divmod(pivot * ab - aj * jb, prev)
+        if rest:
+            raise InternalInconsistencyError(
+                f"Bareiss step left remainder {rest} on division by {prev}"
+            )
+        return minor
 
-    extend(0, [])
+    def walk(family: tuple[str, ...], cands: list[int], schur: list[list[int]],
+             prev: int) -> None:
+        for t, j in enumerate(cands):
+            grown = family + (names[j],)
+            out.append(grown)
+            if len(grown) >= cap:
+                continue
+            row, pivot = schur[t], schur[t][t]
+            keep = [u for u in range(t + 1, len(cands))
+                    if bareiss(pivot, schur[u][u], row[u], row[u], prev) > 0]
+            walk(grown, [cands[u] for u in keep],
+                 [[bareiss(pivot, schur[a][b], row[a], row[b], prev) for b in keep]
+                  for a in keep],
+                 pivot)
+
+    if cap:
+        top = [i for i in range(len(names)) if m[i][i] > 0]
+        walk((), top, [[m[a][b] for b in top] for a in top], 1)
     return out
 
 

@@ -5,7 +5,8 @@ with a random unimodular integer matrix, so every generated model is exactly
 Lorentzian and carries a distinguished class of self-pairing one.  Prime
 classes are rejection-sampled in diagonal coordinates where the acceptance
 conditions are cheap to state.  Everything is driven by a single seed, so a
-spec reproduces its model bit-for-bit.
+spec reproduces its model bit-for-bit.  ``del_pezzo`` builds the del Pezzo
+lattices, whose exceptional-family counts are known answers.
 """
 from __future__ import annotations
 
@@ -247,3 +248,46 @@ def gen_pseudoeffective_class(model: ConeModel, seed: int) -> Vector:
     parts.extend(p.vec for p in model.primes)
     coeffs = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in parts]
     return combine(zero_vector(model.rank), zip(coeffs, parts))
+
+
+# ---------------------------------------------------------------------------
+# del Pezzo lattices
+# ---------------------------------------------------------------------------
+
+
+def _multiplicities(count: int, total: int, squares: int):
+    """Integer tuples ``m >= -1`` of length `count` with ``sum(m) == total``
+    and ``sum(m*m) == squares``, in increasing order."""
+    if count == 0:
+        if total == 0 and squares == 0:
+            yield ()
+        return
+    if squares < 0 or total * total > count * squares:  # Cauchy-Schwarz
+        return
+    for m in range(-1, isqrt(squares) + 1):
+        for rest in _multiplicities(count - 1, total - m, squares - m * m):
+            yield (m, *rest)
+
+
+def del_pezzo(r: int) -> ConeModel:
+    """The blow-up of P^2 in r general points, 1 <= r <= 8.
+
+    The lattice is ``I_{1,r} = diag(1, -1, ..., -1)``, the reference class is
+    ``-K = (3, -1, ..., -1)``, and the primes ``e1, e2, ...`` are the
+    (-1)-classes in sorted order: the vectors ``(d, -m_1, ..., -m_r)`` with
+    ``d^2 - sum(m_i^2) = -1`` and ``3d - sum(m_i) = 1``.  There are 1, 3, 6,
+    10, 16, 27, 56 and 240 of them.
+    """
+    if not 1 <= r <= 8:
+        raise ValueError(f"del Pezzo surfaces need 1 <= r <= 8, got {r}")
+    classes = []
+    d = 0
+    # Cauchy-Schwarz on the m_i bounds the degree: (3d - 1)^2 <= r (d^2 + 1)
+    while (3 * d - 1) ** 2 <= r * (d * d + 1):
+        classes.extend((d, *(-x for x in m))
+                       for m in _multiplicities(r, 3 * d - 1, d * d + 1))
+        d += 1
+    form = [[int(i == j) * (1 if i == 0 else -1) for j in range(r + 1)]
+            for i in range(r + 1)]
+    primes = [(f"e{k + 1}", vec) for k, vec in enumerate(sorted(classes))]
+    return cone_model(form, primes, [3] + [-1] * r)

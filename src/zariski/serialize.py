@@ -47,15 +47,6 @@ def scalar_to_json(value: Scalar) -> Any:
     return format_rational(value)
 
 
-def scalar_from_json(value: Any) -> Scalar:
-    if isinstance(value, dict):
-        try:
-            return QuadExt.from_dict(value)
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"not a quadratic scalar: {value!r}") from exc
-    return parse_rational(value)
-
-
 def vector_to_json(vec: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in vec]
 

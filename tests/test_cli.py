@@ -116,8 +116,11 @@ DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
          ["decompose", "--model", "{file}", "--class=1,2"], "not valid UTF-8"),
         ("abc", None, ["cutkosky", "--base", "1,2,1"], "must be an integer"),
         ("0", None, ["cutkosky", "--base", "1,2,1"], "must be positive"),
+        (None, None, ["exceptional", "--model", "data/s2.json", "--max-size", "-3"],
+         "--max-size must be nonnegative"),
     ],
-    ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero"],
+    ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero",
+         "negative-max-size"],
 )
 def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
                                     monkeypatch, capsys):

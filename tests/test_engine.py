@@ -17,6 +17,7 @@ from zariski import (
     chamber_of,
     cone_model,
     decompose,
+    del_pezzo,
     enumerate_exceptional_families,
     is_big,
     is_exceptional_family,
@@ -157,18 +158,47 @@ def test_enumerate_families_max_size_clamps(affine_a2):
     assert enumerate_exceptional_families(
         affine_a2, max_size=99
     ) == enumerate_exceptional_families(affine_a2)
+    for model in (affine_a2, del_pezzo(5)):
+        families = enumerate_exceptional_families(model)
+        for cap in range(-1, model.rank + 2):
+            assert enumerate_exceptional_families(model, max_size=cap) == [
+                f for f in families if len(f) <= max(cap, 0)
+            ]
 
 
-def test_enumerate_families_matches_naive_filter(ten_primes):
-    pruned = enumerate_exceptional_families(ten_primes)
-    names = ten_primes.prime_names()
-    naive = [()]
-    for size in range(1, ten_primes.rank + 1):
-        for subset in combinations(names, size):
-            if is_exceptional_family(ten_primes, subset):
-                naive.append(subset)
-    assert sorted(pruned) == sorted(naive)
-    assert len(pruned) == 27  # 1 empty + 6 singletons + 12 pairs + 8 triples
+def naive_families(model) -> list[tuple[str, ...]]:
+    """Every prime subset up to the rank that passes `is_exceptional_family`,
+    in the lexicographic order of prime indices."""
+    names = model.prime_names()
+    subsets = [
+        s
+        for size in range(model.rank + 1)
+        for s in combinations(range(len(names)), size)
+        if is_exceptional_family(model, [names[i] for i in s])
+    ]
+    return [tuple(names[i] for i in s) for s in sorted(subsets)]
+
+
+@pytest.mark.parametrize("source", ["ten_primes", 1, 2, 3, 4])
+def test_enumerate_families_matches_naive_filter(source, request):
+    model = request.getfixturevalue(source) if source == "ten_primes" else del_pezzo(source)
+    naive = naive_families(model)
+    assert enumerate_exceptional_families(model) == naive
+    if source == "ten_primes":
+        assert len(naive) == 27  # 1 empty + 6 singletons + 12 pairs + 8 triples
+
+
+def test_enumerate_families_ignores_positive_rescaling(pool):
+    """Fraction Grams (form/6, primes/3) give the same walk as integer ones."""
+    for _, model, _ in pool:
+        families = enumerate_exceptional_families(model)
+        assert families == naive_families(model)
+        scaled = cone_model(
+            [[x / 6 for x in row] for row in model.form.entries],
+            [(p.name, [x / 3 for x in p.vec]) for p in model.primes],
+            model.h,
+        )
+        assert enumerate_exceptional_families(scaled) == families
 
 
 # -- verification of externally supplied data --------------------------------

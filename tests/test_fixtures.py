@@ -10,6 +10,8 @@ from zariski import (
     GenerationExhaustedError,
     FormatError,
     decompose,
+    del_pezzo,
+    enumerate_exceptional_families,
     gen_model,
     gen_pseudoeffective_class,
 )
@@ -50,6 +52,59 @@ def test_random_unimodular_returns_its_inverse():
         product = [[sum(u[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
                    for i in range(n)]
         assert product == [[int(i == j) for j in range(n)] for i in range(n)], spec
+
+
+DEL_PEZZO_PRIMES = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+# Zariski chamber counts (Bauer-Funke-Neumann, J. Algebra 2010)
+DEL_PEZZO_FAMILIES = {1: 2, 2: 5, 3: 18, 4: 76, 5: 393, 6: 2764, 7: 33645}
+
+
+@pytest.mark.parametrize("r", sorted(DEL_PEZZO_PRIMES))
+def test_del_pezzo_primes_are_the_minus_one_classes(r):
+    model = del_pezzo(r)
+    assert model.rank == r + 1
+    assert len(model.primes) == DEL_PEZZO_PRIMES[r]
+    for p in model.primes:
+        assert model.q(p.vec, p.vec) == -1
+        assert model.q(model.h, p.vec) == 1  # h = -K
+    if r <= 7:  # 28,680 Fraction pairings at r = 8 take seconds
+        assert model.validate().ok
+
+
+def orthogonal_sets(model) -> list[tuple[str, ...]]:
+    """Sets of pairwise-orthogonal (-1)-classes, depth-first in prime order.
+
+    Such a set has Gram matrix -I, and two (-1)-classes with E.F >= 1 have
+    a 2x2 Gram that is not negative definite, so on a del Pezzo lattice
+    these are exactly the exceptional families.
+    """
+    vecs = [p.vec for p in model.primes]
+    names = model.prime_names()
+    orthogonal = [[model.q(u, v) == 0 for v in vecs] for u in vecs]
+    out = [()]
+
+    def extend(family, allowed):
+        for k, j in enumerate(allowed):
+            grown = family + (names[j],)
+            out.append(grown)
+            extend(grown, [i for i in allowed[k + 1:] if orthogonal[i][j]])
+
+    extend((), list(range(len(vecs))))
+    return out
+
+
+@pytest.mark.parametrize("r", sorted(DEL_PEZZO_FAMILIES))
+def test_del_pezzo_family_counts(r):
+    model = del_pezzo(r)
+    families = enumerate_exceptional_families(model)
+    assert len(families) == DEL_PEZZO_FAMILIES[r]
+    assert families == orthogonal_sets(model)
+
+
+def test_del_pezzo_rejects_out_of_range():
+    for r in (0, 9):
+        with pytest.raises(ValueError, match="1 <= r <= 8"):
+            del_pezzo(r)
 
 
 def test_rank2_cannot_host_many_primes():

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
 from .cone import ConeModel
 from .exact import (
     DimensionMismatchError,
+    SymmetricForm,
     Vector,
     as_vector,
     combine,
@@ -34,9 +34,6 @@ from .exact import (
     solve_symmetric,
     zero_vector,
 )
-
-BRUTE_FORCE_PRIME_LIMIT = 16
-
 
 class NotPseudoEffectiveError(Exception):
     """The input class lies outside the modeled pseudo-effective cone."""
@@ -144,6 +141,19 @@ def verify_certificate(
     return Certificate(orthogonal, negdef, effective, dual_nef), violations
 
 
+def _project(
+    form: SymmetricForm, alpha: Vector, vecs: list[Vector]
+) -> tuple[Vector, Vector] | None:
+    """``(coeffs, residual)`` with ``alpha = residual + sum(c * v)`` and the
+    residual orthogonal to `vecs`; ``None`` if their Gram is not negative definite.
+    """
+    gram = gram_matrix(form, vecs)
+    if not is_negative_definite(gram):
+        return None
+    coeffs = solve_symmetric(gram, [inner(form, alpha, v) for v in vecs])
+    return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
+
+
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     """Active-set orthogonal projection onto the dual-nef cone.
 
@@ -178,16 +188,13 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
             break
         rounds += 1
         active = sorted(in_active | set(violating))
-        vecs = [primes[i].vec for i in active]
-        gram = gram_matrix(form, vecs)
-        if not is_negative_definite(gram):
+        projected = _project(form, alpha, [primes[i].vec for i in active])
+        if projected is None:
             raise NotPseudoEffectiveError(
                 "gram-not-negative-definite",
                 subset=tuple(primes[i].name for i in active),
             )
-        rhs = [inner(form, alpha, v) for v in vecs]
-        coeffs = solve_symmetric(gram, rhs)
-        current = combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
+        coeffs, current = projected
 
     if not model.in_positive_cone_closure(current):
         raise NotPseudoEffectiveError(
@@ -310,43 +317,31 @@ def enumerate_exceptional_families(
 
 
 def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
-    """Oracle: exhaustive search over all candidate supports (test-only).
+    """Oracle: family search over every exceptional family (test-only).
 
-    Tries every subset of primes whose Gram matrix is negative definite,
-    solves the orthogonality system, and keeps candidates with nonnegative
-    coefficients and a dual-nef remainder.  Exactly one candidate must
-    survive (after identifying candidates that differ only by
-    zero-coefficient primes); anything else raises
+    Projects `alpha` off the span of each family that
+    :func:`enumerate_exceptional_families` lists and keeps candidates with
+    nonnegative coefficients and a dual-nef remainder; the cost is the family
+    count, so it reaches del Pezzo r = 6 (27 primes).  A family whose Gram
+    fails :func:`is_negative_definite` raises :class:`InternalInconsistencyError`.
+    Exactly one candidate must survive (after identifying candidates that
+    differ only by zero-coefficient primes); anything else raises
     :class:`OracleUniquenessError`.
     """
     alpha = as_vector(alpha)
-    primes = model.primes
-    n = len(primes)
-    if n > BRUTE_FORCE_PRIME_LIMIT:
-        raise ValueError(
-            f"exhaustive search is limited to {BRUTE_FORCE_PRIME_LIMIT} primes, "
-            f"model has {n}"
-        )
-    form = model.form
+    vec_of = model.prime_vec
     survivors: dict[tuple, tuple[Vector, dict[str, Fraction]]] = {}
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            vecs = [primes[i].vec for i in subset]
-            gram = gram_matrix(form, vecs)
-            if not is_negative_definite(gram):
-                continue
-            rhs = [inner(form, alpha, v) for v in vecs]
-            coeffs = solve_symmetric(gram, rhs) if subset else ()
-            if any(c < 0 for c in coeffs):
-                continue
-            residual = combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
-            if not model.is_dual_nef(residual):
-                continue
-            positive = tuple(
-                (primes[i].name, c) for i, c in zip(subset, coeffs) if c > 0
+    for family in enumerate_exceptional_families(model):
+        projected = _project(model.form, alpha, [vec_of[n] for n in family])
+        if projected is None:
+            raise InternalInconsistencyError(
+                f"enumerated family {family} is not negative definite"
             )
-            key = (residual, positive)
-            survivors[key] = (residual, dict(positive))
+        coeffs, residual = projected
+        if any(c < 0 for c in coeffs) or not model.is_dual_nef(residual):
+            continue
+        positive = tuple((n, c) for n, c in zip(family, coeffs) if c > 0)
+        survivors[(residual, positive)] = (residual, dict(positive))
     if not survivors:
         raise NotPseudoEffectiveError("exhaustive-no-candidate")
     if len(survivors) > 1:

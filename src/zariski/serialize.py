@@ -82,7 +82,7 @@ def model_from_json(data: Any) -> ConeModel:
     if missing:
         raise FormatError(f"model document lacks fields: {sorted(missing)}")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise FormatError(f"rank must be a positive integer, got {rank!r}")
     form_rows = data["form"]
     if not isinstance(form_rows, list) or len(form_rows) != rank:
@@ -94,7 +94,7 @@ def model_from_json(data: Any) -> ConeModel:
     prime_items = [(name, vector_from_json(vec, rank)) for name, vec in primes.items()]
     ample = vector_from_json(data["ample"], rank)
     m = data.get("m", 1)
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise FormatError(f"m must be a positive integer, got {m!r}")
     try:
         return cone_model(rows, prime_items, ample, m)
@@ -174,7 +174,7 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
     if not isinstance(certificate, dict):
         raise FormatError("certificate must be an object of booleans")
     iterations = data.get("iterations", 0)
-    if not isinstance(iterations, int):
+    if isinstance(iterations, bool) or not isinstance(iterations, int):
         raise FormatError(f"iterations must be an integer, got {iterations!r}")
     return DecompositionDocument(
         alpha=vector_from_json(data["alpha"]),

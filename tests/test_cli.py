@@ -118,9 +118,18 @@ DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
         ("0", None, ["cutkosky", "--base", "1,2,1"], "must be positive"),
         (None, None, ["exceptional", "--model", "data/s2.json", "--max-size", "-3"],
          "--max-size must be nonnegative"),
+        (None, json.dumps({**DEC_S1, "iterations": True}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "iterations must be an integer"),
+        (None, json.dumps({"rank": True, "form": [["1"]], "primes": {},
+                           "ample": ["1"]}).encode(),
+         ["validate", "--model", "{file}"], "rank must be a positive integer"),
+        (None, json.dumps({"rank": 1, "form": [["1"]], "primes": {},
+                           "ample": ["1"], "m": True}).encode(),
+         ["validate", "--model", "{file}"], "m must be a positive integer"),
     ],
     ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero",
-         "negative-max-size"],
+         "negative-max-size", "boolean-iterations", "boolean-rank", "boolean-m"],
 )
 def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
                                     monkeypatch, capsys):

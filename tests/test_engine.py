@@ -1,6 +1,8 @@
 """Decomposition engine: frozen examples, failure modes, and invariants."""
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from zariski import (
     DimensionMismatchError,
+    InternalInconsistencyError,
     NotPseudoEffectiveError,
     OracleUniquenessError,
     UnknownPrimeError,
@@ -26,6 +29,7 @@ from zariski import (
     volume,
     zariski_projection,
 )
+from zariski import engine
 from zariski.exact import as_vector, vec_add, vec_scale
 
 
@@ -240,14 +244,17 @@ def test_verify_certificate_clean_result_has_no_violations(s2):
 # -- exhaustive oracle ---------------------------------------------------------
 
 
+def assert_oracle_agrees(model, alpha, d):
+    b = brute_force_decompose(model, alpha)
+    assert b.positive_part == d.positive_part
+    assert dict(b.negative_coeffs) == {
+        n: c for n, c in d.negative_coeffs.items() if c > 0
+    }
+
+
 def test_oracle_matches_engine_on_examples(s1, s2):
     for model, alpha in ((s1, [1, 2]), (s1, [3, 1]), (s2, [1, 2, 1]), (s2, [2, 1, 0])):
-        d = decompose(model, alpha)
-        b = brute_force_decompose(model, alpha)
-        assert b.positive_part == d.positive_part
-        assert {n: c for n, c in b.negative_coeffs.items() if c > 0} == {
-            n: c for n, c in d.negative_coeffs.items() if c > 0
-        }
+        assert_oracle_agrees(model, alpha, decompose(model, alpha))
 
 
 def test_oracle_rejects_non_pseudo_effective(s1):
@@ -256,11 +263,53 @@ def test_oracle_rejects_non_pseudo_effective(s1):
     assert err.value.reason == "exhaustive-no-candidate"
 
 
-def test_oracle_refuses_oversized_models():
-    primes = [(f"p{i}", [0, 1]) for i in range(17)]
-    model = cone_model([[1, 0], [0, -1]], primes, [1, 0])
-    with pytest.raises(ValueError, match="limited to 16"):
-        brute_force_decompose(model, [1, 0])
+def test_oracle_matches_engine_on_del_pezzo():
+    """10, 16 and 27 primes; classes a(-K) + sum c E over 1 to 4 primes,
+    drawn as the benchmark's delpezzo workload draws them."""
+    rng = random.Random(1)
+    for r, count in ((4, 4), (5, 3), (6, 1)):
+        model = del_pezzo(r)
+        for k in range(count):
+            alpha = vec_scale(Q(rng.randint(0, 4), rng.randint(1, 3)), model.h)
+            for prime in rng.sample(model.primes, 1 + k % 4):
+                c = Q(rng.randint(1, 4), rng.randint(1, 3))
+                alpha = vec_add(alpha, vec_scale(c, prime.vec))
+            assert_oracle_agrees(model, alpha, decompose(model, alpha))
+
+
+def test_engine_and_oracle_agree_on_arbitrary_classes(pool):
+    """The refusal gate: the first 3 of the benchmark cli workload's 10
+    integer classes per grid model, entries in [-4, 4], drawn from seed 0."""
+    draw = random.Random(0)
+    verdicts = Counter()
+    for _, model, _ in pool:
+        batch = [
+            as_vector(draw.randint(-4, 4) for _ in range(model.rank)) for _ in range(10)
+        ]
+        for alpha in batch[:3]:
+            try:
+                d = decompose(model, alpha)
+            except NotPseudoEffectiveError as exc:
+                verdicts[exc.reason] += 1
+                with pytest.raises(NotPseudoEffectiveError, match="no-candidate"):
+                    brute_force_decompose(model, alpha)
+                continue
+            verdicts["decomposed"] += 1
+            assert_oracle_agrees(model, alpha, d)
+    assert verdicts == {
+        "decomposed": 84,
+        "positive-cone-closure": 349,
+        "gram-not-negative-definite": 167,
+    }
+
+
+def test_oracle_cross_checks_the_walk(affine_a2, monkeypatch):
+    walk = engine.enumerate_exceptional_families
+    # c1, c2, c3 form a cycle whose Gram matrix is singular
+    monkeypatch.setattr(engine, "enumerate_exceptional_families",
+                        lambda model: walk(model) + [("c1", "c2", "c3")])
+    with pytest.raises(InternalInconsistencyError, match="not negative definite"):
+        brute_force_decompose(affine_a2, [1, 1, 0, 0])
 
 
 def test_oracle_uniqueness_error_is_assertion():

@@ -158,24 +158,18 @@ def mu_candidates(base: BaseSurface) -> tuple[QuadExt, ...]:
 def mu_L(base: BaseSurface) -> Scalar:
     """Smallest ``t > 0`` with ``-H + t(D + H)`` nef on the base.
 
-    The self-pairing of ``-H + t(D + H)`` is a quadratic in ``t`` whose
-    discriminant is nonnegative by the index constraint; among its roots
-    the admissible one must also pair nonnegatively with the ample ray.
-    The result always lies in ``(0, 1]``.
+    ``D + H`` is ample, so by the Hodge index theorem ``g(t) = -H + t(D + H)``
+    has ``g(t)^2 <= 0`` where it is orthogonal to ``D + H``; that point lies
+    between the roots of ``g(t)^2 = 0``, and ``g(t)`` is nef exactly when
+    ``t`` is at least the larger root.  The result always lies in ``(0, 1]``.
     """
     roots = mu_candidates(base)
-    pairing_shift = base.dh + base.h_sq
-    slope = base.d_sq + 2 * base.dh + base.h_sq
-    chosen = None
-    for r in roots:
-        if r > 0 and r * slope - pairing_shift >= 0:
-            chosen = r
-            break
-    if chosen is None or not chosen <= 1:
+    mu = roots[-1] if roots else None
+    if mu is None or not (0 < mu <= 1 and base.in_nef_cone((mu, mu - 1))):
         raise InternalInconsistencyError(
-            f"no admissible threshold in (0, 1] for {base}; roots {roots}"
+            f"no nef threshold in (0, 1] for {base}; roots {roots}"
         )
-    return _demote(chosen)
+    return _demote(mu)
 
 
 def decompose_bundle(
@@ -186,9 +180,11 @@ def decompose_bundle(
     ``alpha = tL + pi*(xD + yH)`` is pseudo-effective iff ``t >= 0`` and
     ``(x + t)D + yH`` is nef on the base; otherwise
     :class:`NotPseudoEffectiveError` is raised.  The coefficient ``s`` is
-    the least value in ``[0, t]`` making ``(x + s)D + (y - t + s)H`` nef,
-    found exactly among the endpoint candidates and the roots of the
-    self-pairing quadratic along the segment.
+    the least value in ``[0, t]`` making ``g(s) = (x + s)D + (y - t + s)H``
+    nef.  Along ``g`` the direction ``D + H`` is ample, so by the Hodge
+    index theorem ``g(s)^2 <= 0`` where ``g(s)`` is orthogonal to
+    ``D + H``; that point lies between the roots of ``g(s)^2 = 0``, and
+    ``g(s)`` is nef exactly when ``s`` is at least the larger root.
     """
     t, x, y = alpha.t, alpha.x, alpha.y
     if t < 0:
@@ -215,22 +211,14 @@ def decompose_bundle(
     t, x, y = Fraction(_demote(t)), Fraction(_demote(x)), Fraction(_demote(y))
 
     w = (x, y - t)
-    direction = (Fraction(1), Fraction(1))
-    a = base.pair(direction, direction)
-    b = 2 * base.pair(w, direction)
-    c = base.pair(w, w)
-    candidates: list[Scalar] = [Fraction(0), t]
-    slope_zero = -base.pair(w, direction) / a
-    candidates.append(slope_zero)
-    candidates.extend(quadratic_roots(a, b, c))
-    admissible = [
-        s for s in candidates if 0 <= s and s <= t and base.in_nef_cone(gamma(s))
-    ]
-    if not admissible:
+    roots = quadratic_roots(
+        base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
+    )
+    s = roots[-1] if roots else None
+    if s is None or not (0 < s <= t and base.in_nef_cone(gamma(s))):
         raise InternalInconsistencyError(
-            f"no admissible negative-part coefficient for {alpha} over {base}"
+            f"no nef negative-part coefficient in (0, {t}] for {alpha} over {base}"
         )
-    s = min(admissible)
     z = BundleClass(_demote(t - s), _demote(x + s), _demote(y))
     return z, _demote(s)
 

@@ -40,6 +40,7 @@ from .serialize import (
     parse_base_literal,
     parse_class_literal,
     scalar_to_json,
+    to_text,
     vector_from_json,
     vector_to_json,
 )
@@ -317,14 +318,19 @@ def main(argv=None) -> int:
     started = perf_counter()
     report: dict = {"command": args.command, "inputs": _echo_inputs(args)}
     try:
-        result, certificate, code = args.handler(args)
-    except NotPseudoEffectiveError as exc:
-        report["error"] = {
-            "category": "not-pseudo-effective",
-            "reason": exc.reason,
-            "detail": {k: str(v) for k, v in exc.detail.items()},
-        }
-        code = EXIT_NOT_PSEUDO_EFFECTIVE
+        try:
+            result, certificate, code = args.handler(args)
+        except NotPseudoEffectiveError as exc:
+            report["error"] = {
+                "category": "not-pseudo-effective",
+                "reason": exc.reason,
+                "detail": {k: to_text(v) for k, v in exc.detail.items()},
+            }
+            code = EXIT_NOT_PSEUDO_EFFECTIVE
+        else:
+            report["result"] = result
+            if certificate is not None:
+                report["certificate"] = certificate
     except (
         FormatError,
         InvalidModelError,
@@ -336,10 +342,6 @@ def main(argv=None) -> int:
     ) as exc:
         report["error"] = {"category": "invalid-input", "message": str(exc)}
         code = EXIT_INVALID_INPUT
-    else:
-        report["result"] = result
-        if certificate is not None:
-            report["certificate"] = certificate
     report["timing_ms"] = round((perf_counter() - started) * 1000, 3)
     _emit(report, getattr(args, "pretty", False))
     return code

@@ -50,12 +50,32 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConeModel:
-    """Immutable Lorentzian model; validate once, then treat as fixed."""
+    """Immutable Lorentzian model; shape-checked on construction, then fixed."""
 
     form: SymmetricForm
     primes: tuple[PrimeClass, ...]
     h: Vector
     m: int = 1
+
+    def __post_init__(self):
+        r = self.rank
+        violations: list[str] = []
+        if not isinstance(self.m, int) or self.m < 1:
+            violations.append(f"exponent m must be a positive integer, got {self.m}")
+        if len(self.h) != r:
+            violations.append(
+                f"reference class has length {len(self.h)}, expected {r}"
+            )
+        for p in self.primes:
+            if len(p.vec) != r:
+                violations.append(
+                    f"prime '{p.name}' has length {len(p.vec)}, expected {r}"
+                )
+        names = [p.name for p in self.primes]
+        for name in sorted({n for n in names if names.count(n) > 1}):
+            violations.append(f"duplicate prime name '{name}'")
+        if violations:
+            raise InvalidModelError(violations)
 
     @property
     def rank(self) -> int:
@@ -66,14 +86,8 @@ class ConeModel:
 
     @cached_property
     def prime_vec(self) -> dict[str, Vector]:
-        """Prime class vectors by name; the first wins on a duplicate name."""
-        return {p.name: p.vec for p in reversed(self.primes)}
-
-    def prime_index(self, name: str) -> int:
-        for i, p in enumerate(self.primes):
-            if p.name == name:
-                return i
-        raise KeyError(f"unknown prime class {name!r}")
+        """Prime class vectors by name."""
+        return {p.name: p.vec for p in self.primes}
 
     def prime_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.primes)
@@ -81,29 +95,10 @@ class ConeModel:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check structural and cone axioms; returns all findings at once."""
+        """Check the cone axioms; returns all findings at once."""
         violations: list[str] = []
         warnings: list[str] = []
         r = self.rank
-        if not isinstance(self.m, int) or self.m < 1:
-            violations.append(f"exponent m must be a positive integer, got {self.m}")
-        if len(self.h) != r:
-            violations.append(
-                f"reference class has length {len(self.h)}, expected {r}"
-            )
-        bad_dims = False
-        for p in self.primes:
-            if len(p.vec) != r:
-                violations.append(
-                    f"prime '{p.name}' has length {len(p.vec)}, expected {r}"
-                )
-                bad_dims = True
-        names = [p.name for p in self.primes]
-        for name in sorted({n for n in names if names.count(n) > 1}):
-            violations.append(f"duplicate prime name '{name}'")
-        if bad_dims or len(self.h) != r:
-            return ValidationReport(tuple(violations), tuple(warnings))
-
         sig = signature(self.form)
         if sig != (1, r - 1, 0):
             violations.append(

@@ -41,8 +41,12 @@ class NotPseudoEffectiveError(Exception):
     def __init__(self, reason: str, **detail):
         self.reason = reason
         self.detail = detail
-        extras = ", ".join(f"{k}={v}" for k, v in detail.items())
-        super().__init__(f"{reason}" + (f" ({extras})" if extras else ""))
+        super().__init__(reason)
+
+    def __str__(self) -> str:
+        # on demand, so a detail past the int-to-str digit limit cannot break the raise
+        extras = ", ".join(f"{k}={v}" for k, v in self.detail.items())
+        return self.reason + (f" ({extras})" if extras else "")
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -201,11 +205,6 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
             "positive-cone-closure",
             q_self=inner(form, current, current),
             q_h=inner(form, current, model.h),
-        )
-    if any(c < 0 for c in coeffs):
-        raise InternalInconsistencyError(
-            f"projection produced negative coefficients {coeffs} despite a "
-            "negative definite active Gram matrix"
         )
 
     negative = {primes[i].name: coeffs[k] for k, i in enumerate(active)}

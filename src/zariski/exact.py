@@ -12,7 +12,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -62,17 +61,16 @@ def squarefree_bound() -> int:
     return value
 
 
-def split_square(n: int, bound: int | None = None) -> tuple[int, int]:
-    """Write ``n = s*s*d`` extracting square prime factors up to `bound`.
+def split_square(n: int) -> tuple[int, int]:
+    """Write ``n = s*s*d`` extracting square prime factors.
 
-    Returns ``(s, d)``.  If a cofactor survives trial division without being
-    certified prime, it is folded into ``d`` unreduced and a
-    :class:`CanonicalizationWarning` is emitted.
+    Returns ``(s, d)``.  Trial division stops at :func:`squarefree_bound`;
+    if a cofactor survives it without being certified prime, it is folded
+    into ``d`` unreduced and a :class:`CanonicalizationWarning` is emitted.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    if bound is None:
-        bound = squarefree_bound()
+    bound = squarefree_bound()
     s, d, m = 1, 1, n
     p = 2
     while p <= bound and p * p <= m:
@@ -113,12 +111,12 @@ class QuadExt:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0, d=0, *, bound: int | None = None):
+    def __init__(self, a=0, b=0, d=0):
         a, b, d = Fraction(a), Fraction(b), int(d)
         if d < 0:
             raise ValueError(f"radicand must be nonnegative, got {d}")
         if b and d > 1:
-            s, d = split_square(d, bound)
+            s, d = split_square(d)
             b *= s
         if d <= 1:
             a, b, d = a + b * d, Fraction(0), 0
@@ -303,9 +301,7 @@ class QuadExt:
         return cls(Fraction(data["a"]), Fraction(data["b"]), int(data["d"]))
 
 
-def quadratic_roots(
-    a, b, c, *, bound: int | None = None
-) -> tuple[QuadExt, ...]:
+def quadratic_roots(a, b, c) -> tuple[QuadExt, ...]:
     """Real roots of ``a*x^2 + b*x + c`` over Q, ascending, as QuadExt values.
 
     Both roots of an irrational pair share a single canonicalized radicand.
@@ -320,7 +316,7 @@ def quadratic_roots(
     if disc == 0:
         return (QuadExt(-b / (2 * a)),)
     num, den = disc.numerator, disc.denominator
-    s, d = split_square(num * den, bound)
+    s, d = split_square(num * den)
     root = Fraction(s, den)  # sqrt(disc) == root * sqrt(d)
     half = 1 / (2 * a)
     if d == 1:
@@ -421,19 +417,6 @@ def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricFo
     return SymmetricForm(tuple(tuple(row) for row in rows))
 
 
-def _swap_sym(m: list[list[Fraction]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_sym(m: list[list[Fraction]], i: int, j: int) -> None:
-    for c in range(len(m)):
-        m[i][c] = m[i][c] + m[j][c]
-    for row in m:
-        row[i] = row[i] + row[j]
-
-
 def signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_minus, n_zero)`` by exact congruence reduction.
 
@@ -445,16 +428,17 @@ def signature(form: SymmetricForm) -> tuple[int, int, int]:
     while m:
         k = len(m)
         if m[0][0] == 0:
-            pivot = next((i for i in range(1, k) if m[i][i] != 0), None)
-            if pivot is not None:
-                _swap_sym(m, 0, pivot)
-            else:
-                off = next((j for j in range(1, k) if m[0][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    m = [row[1:] for row in m[1:]]
-                    continue
-                _add_sym(m, 0, off)
+            off = next((j for j in range(1, k) if m[0][j] != 0), None)
+            if off is None:
+                zero += 1
+                m = [row[1:] for row in m[1:]]
+                continue
+            # the new pivot 2t*m[0][off] + m[off][off] is nonzero for t = 1 or t = -1
+            t = 1 if 2 * m[0][off] + m[off][off] else -1
+            for c in range(k):
+                m[0][c] += t * m[off][c]
+            for row in m:
+                row[0] += t * row[off]
         p = m[0][0]
         if p > 0:
             plus += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .cone import ConeModel, cone_model
 from .exact import Vector, as_vector, combine, zero_vector
@@ -191,13 +191,9 @@ def _sqrt_exact(f: Fraction) -> Fraction:
 
 def _primitive(vec: Vector) -> Vector:
     """Scale a rational vector to primitive integer form (positive scale)."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (denom // x.denominator) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         return vec
     return as_vector(x // g for x in ints)

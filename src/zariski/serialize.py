@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .bundle import BaseSurface
 from .cone import ConeModel, cone_model
@@ -27,6 +27,9 @@ class FormatError(ValueError):
 def parse_rational(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise FormatError(f"expected a rational, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        # Fraction would build 10**exponent before any size check.
+        raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, (int, str, Fraction)):
         try:
             return Fraction(value)
@@ -36,7 +39,15 @@ def parse_rational(value: Any) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return to_text(Fraction(value))
+
+
+def to_text(value: Any) -> str:
+    """``str(value)``, refusing a number past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise FormatError(f"number too large to print: {exc}") from exc
 
 
 def scalar_to_json(value: Scalar) -> Any:
@@ -122,6 +133,8 @@ def load_json(path: str | Path) -> Any:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the int-from-str digit limit
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

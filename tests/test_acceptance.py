@@ -142,15 +142,13 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
     for model, alpha, d in pool_decompositions:
         reconstructed = d.positive_part
         for name, coeff in d.negative_coeffs.items():
-            vec = model.primes[model.prime_index(name)].vec
+            vec = model.prime_vec[name]
             reconstructed = vec_add(reconstructed, vec_scale(coeff, vec))
         assert reconstructed == alpha
         for name in d.support:
-            vec = model.primes[model.prime_index(name)].vec
+            vec = model.prime_vec[name]
             assert model.q(d.positive_part, vec) == 0
-        support_vecs = [
-            model.primes[model.prime_index(n)].vec for n in d.support
-        ]
+        support_vecs = [model.prime_vec[n] for n in d.support]
         assert is_negative_definite(gram_matrix(model.form, support_vecs))
         assert len(d.support) <= model.rank
         basic += 1
@@ -228,7 +226,7 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
                 }
                 alpha = zero_vector(model.rank)
                 for name, c in coeffs.items():
-                    vec = model.primes[model.prime_index(name)].vec
+                    vec = model.prime_vec[name]
                     alpha = vec_add(alpha, vec_scale(c, vec))
                 d = decompose(model, alpha)
                 assert d.positive_part == zero_vector(model.rank)

@@ -183,7 +183,7 @@ def test_irrational_class_outside_nef_cone_is_rejected():
 
 def test_decomposition_reconstructs_and_z_is_nef():
     """Z + s*(L - pi*D) == alpha, Z lies over the nef cone, s is minimal."""
-    bases = rational_mu_bases()[:10] + [BaseSurface(1, 2, 1)]
+    bases = rational_mu_bases() + [BaseSurface(1, 2, 1)]
     classes = [
         BundleClass(1, 0, 0),
         BundleClass(2, -1, 0),

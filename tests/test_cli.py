@@ -104,6 +104,7 @@ def test_classes_file_must_be_array(tmp_path, capsys):
 
 
 DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
+SEVENS = "7" * 2500
 
 
 @pytest.mark.parametrize(
@@ -127,9 +128,19 @@ DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
         (None, json.dumps({"rank": 1, "form": [["1"]], "primes": {},
                            "ample": ["1"], "m": True}).encode(),
          ["validate", "--model", "{file}"], "m must be a positive integer"),
+        # past the interpreter's 4300-digit int<->str limit
+        (None, None, ["decompose", "--model", "data/s1.json", f"--class={SEVENS},0"],
+         "too large to print"),
+        (None, None, ["decompose", "--model", "data/s1.json", f"--class=-{SEVENS},0"],
+         "too large to print"),
+        (None, None, ["decompose", "--model", "data/s1.json", "--class=1e4300,0"],
+         "not a rational: '1e4300'"),
+        (None, f"[[{'7' * 4400}, 0]]".encode(),
+         ["chambers", "--model", "data/s1.json", "--classes", "{file}"], "digits"),
     ],
     ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero",
-         "negative-max-size", "boolean-iterations", "boolean-rank", "boolean-m"],
+         "negative-max-size", "boolean-iterations", "boolean-rank", "boolean-m",
+         "huge-volume", "huge-refusal-detail", "exponent-literal", "huge-json-integer"],
 )
 def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
                                     monkeypatch, capsys):

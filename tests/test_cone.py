@@ -52,15 +52,25 @@ def test_validate_rejects_negative_pairwise_primes():
     assert any("must pair nonnegatively" in v for v in report.violations)
 
 
-def test_validate_rejects_structural_problems():
-    model = cone_model([[1, 0], [0, -1]], {"E": [0, 1, 0]}, [1, 0])
-    assert any("length" in v for v in model.validate().violations)
-    model = cone_model([[1, 0], [0, -1]], [("E", [0, 1]), ("E", [0, 1])], [1, 0])
-    assert any("duplicate" in v for v in model.validate().violations)
+@pytest.mark.parametrize(
+    "primes, h, m, finding",
+    [
+        ({"E": [0, 1, 0]}, [1, 0], 1, "prime 'E' has length 3"),
+        ({"E": [0, 1]}, [1, 0, 0], 1, "reference class has length 3"),
+        ([("E", [0, 1]), ("E", [0, 1])], [1, 0], 1, "duplicate prime name 'E'"),
+        ({}, [1, 0], 0, "m must be a positive integer"),
+    ],
+    ids=["prime-length", "h-length", "duplicate-name", "m-zero"],
+)
+def test_construction_rejects_bad_shape(primes, h, m, finding):
+    with pytest.raises(InvalidModelError) as err:
+        cone_model([[1, 0], [0, -1]], primes, h, m)
+    assert any(finding in v for v in err.value.violations)
+
+
+def test_validate_rejects_zero_prime():
     model = cone_model([[1, 0], [0, -1]], {"Z": [0, 0]}, [1, 0])
     assert any("zero class" in v for v in model.validate().violations)
-    model = cone_model([[1, 0], [0, -1]], {}, [1, 0], m=0)
-    assert any("positive integer" in v for v in model.validate().violations)
 
 
 def test_require_valid_raises_with_all_violations():
@@ -103,9 +113,3 @@ def test_dual_nef_cone_closed_under_addition_and_scaling(pool):
         assert model.is_dual_nef(vec_add(zs[0], zs[1]))
         checked += 1
     assert checked == 60
-
-
-def test_prime_index_lookup(s2):
-    assert s2.prime_index("c2") == 1
-    with pytest.raises(KeyError):
-        s2.prime_index("nope")

@@ -78,6 +78,13 @@ def test_not_pseudo_effective_outside_positive_cone(s1):
     assert err.value.detail == {"q_self": Q(1), "q_h": Q(-1)}
 
 
+def test_refusal_detail_past_the_digit_limit_is_still_a_refusal(s1):
+    # q_self has 5000 digits, past the interpreter's int-to-str limit
+    with pytest.raises(NotPseudoEffectiveError) as err:
+        decompose(s1, [-int("7" * 2500), 0])
+    assert err.value.reason == "positive-cone-closure"
+
+
 def test_not_pseudo_effective_degenerate_gram():
     model = cone_model([[1, 0], [0, -1]], {"F": [1, 1]}, [1, 0])
     assert model.validate().ok
@@ -324,7 +331,7 @@ def test_pool_decompositions_satisfy_all_invariants(pool_decompositions):
         assert d.certificate.all_passed
         reconstructed = d.positive_part
         for name, coeff in d.negative_coeffs.items():
-            vec = model.primes[model.prime_index(name)].vec
+            vec = model.prime_vec[name]
             reconstructed = vec_add(reconstructed, vec_scale(coeff, vec))
         assert reconstructed == alpha
         # every active prime ends with a strictly positive coefficient
@@ -354,7 +361,7 @@ def test_negative_part_translation_fixes_positive_part(pool_decompositions):
             continue
         shifted = alpha
         for name in d.support:
-            vec = model.primes[model.prime_index(name)].vec
+            vec = model.prime_vec[name]
             shifted = vec_add(shifted, vec_scale(Q(1, 2), vec))
         d2 = decompose(model, shifted)
         assert d2.positive_part == d.positive_part

@@ -52,9 +52,10 @@ def test_split_square_rejects_nonpositive():
         split_square(-4)
 
 
-def test_split_square_beyond_bound_warns_and_leaves_unreduced():
+def test_split_square_beyond_bound_warns_and_leaves_unreduced(monkeypatch):
+    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
     with pytest.warns(CanonicalizationWarning):
-        s, d = split_square(101 * 101, bound=10)
+        s, d = split_square(101 * 101)
     assert (s, d) == (1, 101 * 101)
 
 
@@ -135,18 +136,20 @@ def test_quadext_comparisons():
     assert sorted([Q(1), r2, Q(2)]) == [Q(1), r2, Q(2)]
 
 
-def test_quadext_zero_with_square_radicand_beyond_bound():
-    with pytest.warns(CanonicalizationWarning):
-        x = QuadExt(101, -1, 101 * 101, bound=10)
+def test_quadext_zero_with_square_radicand_beyond_bound(monkeypatch):
+    with monkeypatch.context() as env, pytest.warns(CanonicalizationWarning):
+        env.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
+        x = QuadExt(101, -1, 101 * 101)
     assert x.sign() == 0
     assert x == 0
 
 
-def test_quadext_division_errors():
+def test_quadext_division_errors(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         1 / QuadExt(0)
-    with pytest.warns(CanonicalizationWarning):
-        square = QuadExt(101, -1, 101 * 101, bound=10)
+    with monkeypatch.context() as env, pytest.warns(CanonicalizationWarning):
+        env.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
+        square = QuadExt(101, -1, 101 * 101)
     with pytest.raises(ZeroDivisionError):
         1 / square
 
@@ -254,6 +257,8 @@ def test_symmetric_form_rejects_asymmetry():
 
 def test_signature_examples():
     assert signature(symmetric_form([[0, 1], [1, 0]])) == (1, 1, 0)
+    # a zero leading entry where adding row and column 1 would keep it zero
+    assert signature(symmetric_form([[0, 1], [1, -2]])) == (1, 1, 0)
     assert signature(symmetric_form([[2, 1], [1, 2]])) == (2, 0, 0)
     assert signature(symmetric_form([[1, 0], [0, -1]])) == (1, 1, 0)
     assert signature(symmetric_form([[0, 0], [0, 0]])) == (0, 0, 2)

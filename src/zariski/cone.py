@@ -16,6 +16,8 @@ from .exact import (
     SymmetricForm,
     Vector,
     as_vector,
+    clear_denominators,
+    dot,
     inner,
     signature,
     symmetric_form,
@@ -46,6 +48,28 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+@dataclass(frozen=True)
+class CompiledModel:
+    """A model's pairings as integers over known positive denominators.
+
+    ``form`` is ``scale * Q`` with ``scale`` the least positive integer that
+    makes it integral; ``h`` and ``primes[i]`` are the integer vectors
+    ``h_den * h`` and ``dens[i] * p_i``.  Hence ``qh = form · h`` gives
+    ``q(h, p_i) = qh · primes[i] / (scale * h_den * dens[i])`` and the prime
+    Gram ``gram[i][j] = primes[i] · form · primes[j]`` equals
+    ``scale * dens[i] * dens[j] * q(p_i, p_j)``.
+    """
+
+    scale: int
+    form: tuple[tuple[int, ...], ...]
+    h: tuple[int, ...]
+    h_den: int
+    primes: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+    qh: tuple[int, ...]
+    gram: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -92,10 +116,31 @@ class ConeModel:
     def prime_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.primes)
 
+    @cached_property
+    def compiled(self) -> CompiledModel:
+        """The integer view of the form, ``h`` and the primes, built once."""
+        entries, scale = clear_denominators(x for row in self.form.entries for x in row)
+        r = self.rank
+        form = tuple(entries[i * r:(i + 1) * r] for i in range(r))
+        h, h_den = clear_denominators(self.h)
+        cleared = [clear_denominators(p.vec) for p in self.primes]
+        primes = tuple(vec for vec, _ in cleared)
+        images = [tuple(dot(row, vec) for row in form) for vec in primes]
+        gram = tuple(tuple(dot(u, image) for image in images) for u in primes)
+        return CompiledModel(
+            scale=scale, form=form, h=h, h_den=h_den, primes=primes,
+            dens=tuple(den for _, den in cleared),
+            qh=tuple(dot(row, h) for row in form), gram=gram,
+        )
+
     # -- validation -----------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check the cone axioms; returns all findings at once."""
+        """Check the cone axioms; returns all findings at once.
+
+        Signs are read off the integer view; an exact value is built only
+        for a violation message.
+        """
         violations: list[str] = []
         warnings: list[str] = []
         r = self.rank
@@ -106,39 +151,46 @@ class ConeModel:
             )
             return ValidationReport(tuple(violations), tuple(warnings))
 
-        qh = self.q(self.h, self.h)
+        c = self.compiled
+        qh = dot(c.qh, c.h)
         if qh <= 0:
             violations.append(
-                f"reference class must satisfy q(h, h) > 0, got {qh}"
+                "reference class must satisfy q(h, h) > 0, got "
+                f"{Fraction(qh, c.scale * c.h_den ** 2)}"
             )
-        for p in self.primes:
-            if all(x == 0 for x in p.vec):
+        for p, vec, den in zip(self.primes, c.primes, c.dens):
+            if not any(vec):
                 violations.append(f"prime '{p.name}' is the zero class")
                 continue
-            pairing = self.q(self.h, p.vec)
+            pairing = dot(c.qh, vec)
             if pairing < 0:
                 violations.append(
-                    f"prime '{p.name}' pairs negatively with h: q = {pairing}"
+                    f"prime '{p.name}' pairs negatively with h: "
+                    f"q = {Fraction(pairing, c.scale * c.h_den * den)}"
                 )
             elif pairing == 0:
                 warnings.append(
                     f"prime '{p.name}' is orthogonal to h (boundary contact)"
                 )
-        for i in range(len(self.primes)):
-            for j in range(i + 1, len(self.primes)):
-                a, b = self.primes[i], self.primes[j]
-                pairing = self.q(a.vec, b.vec)
-                if pairing < 0:
+        for i, row in enumerate(c.gram):
+            for j in range(i + 1, len(row)):
+                if row[j] < 0:
+                    a, b = self.primes[i].name, self.primes[j].name
                     violations.append(
-                        f"distinct primes '{a.name}', '{b.name}' must pair "
-                        f"nonnegatively: q = {pairing}"
+                        f"distinct primes '{a}', '{b}' must pair nonnegatively: "
+                        f"q = {Fraction(row[j], c.scale * c.dens[i] * c.dens[j])}"
                     )
         return ValidationReport(tuple(violations), tuple(warnings))
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The result of :meth:`validate`, computed once per model."""
+        return self.validate()
+
     def require_valid(self) -> "ConeModel":
-        report = self.validate()
-        if not report.ok:
-            raise InvalidModelError(report.violations)
+        """Raise :class:`InvalidModelError` on a failing (cached) report."""
+        if self.report.violations:
+            raise InvalidModelError(self.report.violations)
         return self
 
     # -- cone membership -------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .cone import ConeModel
@@ -167,8 +166,11 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     fails with :class:`NotPseudoEffectiveError` as soon as the active Gram
     matrix stops being negative definite, or when the final residual falls
     outside the closed positive cone.  On success all four certificate
-    invariants are re-verified from scratch.
+    invariants are re-verified from scratch.  A model that breaks the cone
+    axioms raises :class:`InvalidModelError` (the validation report is cached
+    on the model, so this costs one read after the first call).
     """
+    model.require_valid()
     alpha = as_vector(alpha)
     form = model.form
     primes = model.primes
@@ -267,9 +269,12 @@ def enumerate_exceptional_families(
 ) -> list[tuple[str, ...]]:
     """All exceptional families up to `max_size`, in lexicographic order.
 
-    The prime Gram matrix is built once, scaled by a positive common
-    denominator and negated, giving an integer matrix ``M`` that is positive
-    definite on exactly the exceptional families.  A depth-first walk
+    The walk negates the integer prime Gram ``model.compiled.gram``, giving
+    ``M = -s * D G D`` for the rational prime Gram ``G``, a positive integer
+    ``s`` and the positive diagonal ``D`` of prime denominators.  A
+    congruence by a positive diagonal matrix keeps the sign of every
+    principal minor, so ``M`` is positive definite on exactly the
+    exceptional families and the lists are those of ``G``.  A depth-first walk
     extends a family one prime at a time and carries the fraction-free
     (Bareiss) Schur complement of the primes that may still extend it: entry
     ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, so adding
@@ -281,9 +286,7 @@ def enumerate_exceptional_families(
     """
     cap = model.rank if max_size is None else max(0, min(max_size, model.rank))
     names = model.prime_names()
-    gram = gram_matrix(model.form, [p.vec for p in model.primes]).entries
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    m = [[-x.numerator * (scale // x.denominator) for x in row] for row in gram]
+    m = [[-x for x in row] for row in model.compiled.gram]
     out: list[tuple[str, ...]] = [()]
 
     def bareiss(pivot: int, ab: int, aj: int, jb: int, prev: int) -> int:
@@ -325,8 +328,10 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     fails :func:`is_negative_definite` raises :class:`InternalInconsistencyError`.
     Exactly one candidate must survive (after identifying candidates that
     differ only by zero-coefficient primes); anything else raises
-    :class:`OracleUniquenessError`.
+    :class:`OracleUniquenessError`.  A model that breaks the cone axioms
+    raises :class:`InvalidModelError`.
     """
+    model.require_valid()
     alpha = as_vector(alpha)
     vec_of = model.prime_vec
     survivors: dict[tuple, tuple[Vector, dict[str, Fraction]]] = {}

@@ -12,6 +12,8 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -86,7 +88,8 @@ def split_square(n: int) -> tuple[int, int]:
     if m > 1:
         if p * p <= m:
             warnings.warn(
-                f"radicand cofactor {m} has no prime factor below {bound}; "
+                f"radicand cofactor of {m.bit_length()} bits has no prime factor "
+                f"below {bound}; "
                 "leaving it unreduced",
                 CanonicalizationWarning,
                 stacklevel=2,
@@ -348,6 +351,18 @@ def vec_scale(c, u: Vector) -> Vector:
 
 def zero_vector(rank: int) -> Vector:
     return (Fraction(0),) * rank
+
+
+def clear_denominators(vec: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``(ints, den)`` with ``ints == den * vec``; ``den`` is the least positive one."""
+    vec = tuple(vec)
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(x.numerator * (den // x.denominator) for x in vec), den
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Plain dot product, meant for integer vectors."""
+    return sum(map(mul, u, v))
 
 
 def combine(base: Vector, terms: Iterable[tuple[Fraction, Vector]]) -> Vector:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .cone import ConeModel, cone_model
-from .exact import Vector, as_vector, combine, zero_vector
+from .exact import Vector, as_vector, clear_denominators, combine, dot, zero_vector
 from .serialize import FormatError
 
 
@@ -174,25 +174,14 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
 
     primes = [(f"p{k + 1}", _apply(v, w)) for k, w in enumerate(accepted)]
     model = cone_model(q_rows, primes, h, m=1)
-    report = model.validate()
+    report = model.report
     assert report.ok, f"generated model failed validation: {report.violations}"
     return model
 
 
-def _is_square(f: Fraction) -> bool:
-    if f < 0:
-        return False
-    return isqrt(f.numerator) ** 2 == f.numerator and isqrt(f.denominator) ** 2 == f.denominator
-
-
-def _sqrt_exact(f: Fraction) -> Fraction:
-    return Fraction(isqrt(f.numerator), isqrt(f.denominator))
-
-
 def _primitive(vec: Vector) -> Vector:
     """Scale a rational vector to primitive integer form (positive scale)."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    ints, _ = clear_denominators(vec)
     g = gcd(*ints)
     if g == 0:
         return vec
@@ -207,23 +196,32 @@ def _boundary_classes(
     Searches small integer vectors ``v`` of negative self-pairing whose
     two-plane with ``h`` meets the light cone rationally, i.e. the
     discriminant ``q(h, v)^2 - q(h, h) q(v, v)`` is a perfect square; the
-    root with nonnegative pairing against ``h`` is returned.
+    root with nonnegative pairing against ``h`` is returned.  Pairings are
+    integer dot products on ``model.compiled``: with ``A = s*Q`` and
+    ``H = e*h`` integral, the discriminant is ``(H·A·v)^2 - (H·A·H)(v·A·v)``
+    over the square ``(s*e)^2``, so it is a rational square iff that integer
+    is a perfect square.
     """
+    c = model.compiled
+    hah = dot(c.qh, c.h)
     found: list[Vector] = []
-    qh = model.q(model.h, model.h)
     for _ in range(attempts):
         if len(found) >= want:
             break
-        v = as_vector(rng.randint(-3, 3) for _ in range(model.rank))
-        qv = model.q(v, v)
-        if qv >= 0:
+        v = [rng.randint(-3, 3) for _ in range(model.rank)]
+        vav = dot(v, [dot(row, v) for row in c.form])
+        if vav >= 0:
             continue
-        qhv = model.q(model.h, v)
-        disc = qhv * qhv - qh * qv
-        if not _is_square(disc):
+        hav = dot(c.qh, v)
+        disc = hav * hav - hah * vav
+        if disc < 0:
             continue
-        a = (-qhv + _sqrt_exact(disc)) / qh
-        boundary = _primitive(combine(v, [(a, model.h)]))
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        # (-q(h, v) + sqrt(disc)) / q(h, h) in the integer view
+        a = Fraction(c.h_den * (root - hav), hah)
+        boundary = _primitive(combine(as_vector(v), [(a, model.h)]))
         if all(x == 0 for x in boundary):
             continue
         found.append(boundary)

@@ -54,7 +54,8 @@ def scalar_to_json(value: Scalar) -> Any:
     if isinstance(value, QuadExt):
         if value.is_rational:
             return format_rational(value.as_fraction())
-        return value.to_dict()
+        to_text(value.d)  # d goes out as a JSON number, printed by the writer
+        return {"a": format_rational(value.a), "b": format_rational(value.b), "d": value.d}
     return format_rational(value)
 
 
@@ -282,4 +283,4 @@ def decimal_approx(value: Scalar, places: int = 12) -> str:
     sign = "-" if digits < 0 else ""
     digits = abs(digits)
     int_part, frac_part = divmod(digits, 10**places)
-    return f"{sign}{int_part}.{frac_part:0{places}d}"
+    return f"{sign}{to_text(int_part)}.{frac_part:0{places}d}"

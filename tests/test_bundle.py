@@ -9,6 +9,8 @@ import pytest
 from zariski import (
     BaseSurface,
     BundleClass,
+    CanonicalizationWarning,
+    FormatError,
     IrrationalClassError,
     MixedRadicandError,
     NotPseudoEffectiveError,
@@ -22,6 +24,7 @@ from zariski import (
     volume_L,
 )
 from zariski.bundle import L
+from zariski.serialize import scalar_to_json
 
 SQRT3 = QuadExt(0, 1, 3)
 
@@ -274,6 +277,16 @@ def test_volume_matches_floating_point_crosscheck(base):
 
 
 # -- display approximations --------------------------------------------------------
+
+
+def test_printing_past_the_digit_limit_is_a_format_error(monkeypatch):
+    with pytest.raises(FormatError, match="too large to print"):
+        decimal_approx(Q(10**4400))
+    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
+    with pytest.warns(CanonicalizationWarning):
+        value = QuadExt(0, 1, 11**4200)
+    with pytest.raises(FormatError, match="too large to print"):
+        scalar_to_json(value)
 
 
 def test_decimal_approx_pins():

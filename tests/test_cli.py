@@ -137,10 +137,14 @@ SEVENS = "7" * 2500
          "not a rational: '1e4300'"),
         (None, f"[[{'7' * 4400}, 0]]".encode(),
          ["chambers", "--model", "data/s1.json", "--classes", "{file}"], "digits"),
+        # a small bound keeps the radicand trial divisions quick
+        ("1000", None, ["cutkosky", "--base", f"1,{'7' * 2200},1"],
+         "too large to print"),
     ],
     ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero",
          "negative-max-size", "boolean-iterations", "boolean-rank", "boolean-m",
-         "huge-volume", "huge-refusal-detail", "exponent-literal", "huge-json-integer"],
+         "huge-volume", "huge-refusal-detail", "exponent-literal", "huge-json-integer",
+         "huge-cutkosky-base"],
 )
 def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
                                     monkeypatch, capsys):

@@ -1,12 +1,21 @@
-"""Model validation and cone membership predicates."""
+"""Model validation, the integer view, and cone membership predicates."""
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zariski import InvalidModelError, cone_model, decompose
-from zariski.exact import vec_add, vec_scale
+from zariski import (
+    InvalidModelError,
+    cone_model,
+    decompose,
+    enumerate_exceptional_families,
+)
+from zariski.exact import dot, vec_add, vec_scale
 
 
 def test_s1_is_valid_with_boundary_warning(s1):
@@ -66,6 +75,76 @@ def test_construction_rejects_bad_shape(primes, h, m, finding):
     with pytest.raises(InvalidModelError) as err:
         cone_model([[1, 0], [0, -1]], primes, h, m)
     assert any(finding in v for v in err.value.violations)
+
+
+def test_violation_prints_its_exact_rational_value():
+    model = cone_model(
+        [[1, 0, 0], [0, Q(-1, 2), 0], [0, 0, -1]],
+        [("a", [0, 1, 0]), ("b", [0, Q(1, 3), 1]), ("c", [Q(-1, 5), 0, 0])],
+        [1, 0, 0],
+    )
+    assert model.validate().violations == (
+        "prime 'c' pairs negatively with h: q = -1/5",
+        "distinct primes 'a', 'b' must pair nonnegatively: q = -1/6",
+    )
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def rational_models(draw):
+    r = draw(st.integers(min_value=1, max_value=5))
+    vector = st.lists(rationals, min_size=r, max_size=r)
+    lower = draw(st.lists(vector, min_size=r, max_size=r))
+    form = [[lower[max(i, j)][min(i, j)] for j in range(r)] for i in range(r)]
+    primes = draw(st.lists(vector, max_size=5))
+    return cone_model(form, [(f"p{k}", v) for k, v in enumerate(primes)], draw(vector))
+
+
+@given(rational_models())
+@settings(max_examples=200, deadline=None)
+def test_compiled_view_matches_exact_pairings(model):
+    c = model.compiled
+    s, e = c.scale, c.h_den
+    assert c.form == tuple(tuple(s * x for x in row) for row in model.form.entries)
+    assert c.h == tuple(e * x for x in model.h)
+    qh = tuple(sum(x * y for x, y in zip(row, model.h)) for row in model.form.entries)
+    assert tuple(Q(x, s * e) for x in c.qh) == qh
+    assert Q(dot(c.qh, c.h), s * e * e) == model.q(model.h, model.h)
+    for p, vec, den in zip(model.primes, c.primes, c.dens):
+        assert vec == tuple(den * x for x in p.vec)
+        assert Q(dot(c.qh, vec), s * e * den) == model.q(model.h, p.vec)
+    for i, p in enumerate(model.primes):
+        for j, p2 in enumerate(model.primes):
+            assert Q(c.gram[i][j], s * c.dens[i] * c.dens[j]) == model.q(p.vec, p2.vec)
+
+
+# sha256 of the reports and family lists below, frozen when both were
+# computed with Fraction pairings
+RESCALED_DIGEST = "3e881509c7c57c2acb417089d1478353a98525601251fb2d522f32c3db6195cd"
+
+
+def test_reports_and_families_on_rescaled_grid_models_are_frozen(pool):
+    """The grid models with the form, h and each prime scaled by random
+    nonzero rationals: 162 of the 200 break an axiom, with exact values."""
+    rng = random.Random(2024)
+
+    def draw():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+
+    lines, failing = [], 0
+    for _, model, _ in pool:
+        t = draw()
+        form = [[t * x for x in row] for row in model.form.entries]
+        primes = [(p.name, vec_scale(draw(), p.vec)) for p in model.primes]
+        scaled = cone_model(form, primes, vec_scale(draw(), model.h))
+        report = scaled.validate()
+        failing += not report.ok
+        lines.append(repr((report.violations, report.warnings,
+                           enumerate_exceptional_families(scaled))))
+    assert failing == 162
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RESCALED_DIGEST
 
 
 def test_validate_rejects_zero_prime():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from zariski import (
     DimensionMismatchError,
     InternalInconsistencyError,
+    InvalidModelError,
     NotPseudoEffectiveError,
     OracleUniquenessError,
     UnknownPrimeError,
@@ -317,6 +318,20 @@ def test_oracle_cross_checks_the_walk(affine_a2, monkeypatch):
                         lambda model: walk(model) + [("c1", "c2", "c3")])
     with pytest.raises(InternalInconsistencyError, match="not negative definite"):
         brute_force_decompose(affine_a2, [1, 1, 0, 0])
+
+
+def test_engine_and_oracle_refuse_a_model_that_breaks_the_axioms():
+    """Right shape, but q(a, b) = -1 < 0 between distinct primes."""
+    model = cone_model(
+        [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [("a", [0, 1, 0]), ("b", [0, 1, 1])],
+        [1, 0, 0],
+    )
+    for solver in (decompose, brute_force_decompose):
+        with pytest.raises(InvalidModelError, match="must pair nonnegatively"):
+            solver(model, [1, 0, 0])
+    # the report is computed once and then read from the model
+    assert model.__dict__["report"] is model.report == model.validate()
 
 
 def test_oracle_uniqueness_error_is_assertion():

@@ -59,6 +59,14 @@ def test_split_square_beyond_bound_warns_and_leaves_unreduced(monkeypatch):
     assert (s, d) == (1, 101 * 101)
 
 
+def test_split_square_warning_gives_the_cofactor_size(monkeypatch):
+    """A cofactor past the int-to-str digit limit cannot be printed whole."""
+    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
+    n = 11**4200
+    with pytest.warns(CanonicalizationWarning, match=f"of {n.bit_length()} bits"):
+        assert split_square(n) == (1, n)
+
+
 def test_split_square_certified_prime_cofactor_does_not_warn():
     import warnings
 

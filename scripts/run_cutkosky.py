@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import argparse
 
-from zariski import (
-    decimal_approx,
-    decompose_bundle,
-    is_rational,
-    mu_L,
-    volume_L,
-)
+from zariski import decimal_approx, decompose_bundle, intersect3, is_rational
 from zariski.bundle import L
 from zariski.serialize import parse_base_literal
 
@@ -69,9 +63,8 @@ def main() -> int:
     irrational = 0
     for literal in literals:
         base = parse_base_literal(literal)
-        mu = mu_L(base)
-        vol = volume_L(base)
-        z, _ = decompose_bundle(base, L)
+        z, mu = decompose_bundle(base, L)
+        vol = intersect3(base, z, z, z)
         rational = is_rational(vol)
         irrational += not rational
         print(

@@ -142,34 +142,26 @@ def intersect3(
     return _demote(total)
 
 
-def mu_quadratic(base: BaseSurface) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients of the self-pairing of ``-H + t(D + H)`` on the base."""
-    a = base.d_sq + 2 * base.dh + base.h_sq
-    b = -2 * (base.dh + base.h_sq)
-    c = base.h_sq
-    return a, b, c
+def _threshold_roots(base: BaseSurface, w: tuple[Scalar, Scalar]) -> tuple[QuadExt, ...]:
+    """Roots of ``(w + s(D + H))^2 = 0`` in ``s``, ascending."""
+    return quadratic_roots(
+        base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
+    )
 
 
 def mu_candidates(base: BaseSurface) -> tuple[QuadExt, ...]:
     """Both roots of the threshold quadratic, ascending (diagnostics)."""
-    return quadratic_roots(*mu_quadratic(base))
+    return _threshold_roots(base, (0, -1))
 
 
 def mu_L(base: BaseSurface) -> Scalar:
     """Smallest ``t > 0`` with ``-H + t(D + H)`` nef on the base.
 
-    ``D + H`` is ample, so by the Hodge index theorem ``g(t) = -H + t(D + H)``
-    has ``g(t)^2 <= 0`` where it is orthogonal to ``D + H``; that point lies
-    between the roots of ``g(t)^2 = 0``, and ``g(t)`` is nef exactly when
-    ``t`` is at least the larger root.  The result always lies in ``(0, 1]``.
+    This is the coefficient of ``E`` in the decomposition of ``L``: for
+    ``L`` the base class ``g(s)`` of :func:`decompose_bundle` is
+    ``-H + s(D + H)``.  It always lies in ``(0, 1]``.
     """
-    roots = mu_candidates(base)
-    mu = roots[-1] if roots else None
-    if mu is None or not (0 < mu <= 1 and base.in_nef_cone((mu, mu - 1))):
-        raise InternalInconsistencyError(
-            f"no nef threshold in (0, 1] for {base}; roots {roots}"
-        )
-    return _demote(mu)
+    return decompose_bundle(base, L)[1]
 
 
 def decompose_bundle(
@@ -210,10 +202,7 @@ def decompose_bundle(
         )
     t, x, y = Fraction(_demote(t)), Fraction(_demote(x)), Fraction(_demote(y))
 
-    w = (x, y - t)
-    roots = quadratic_roots(
-        base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
-    )
+    roots = _threshold_roots(base, (x, y - t))
     s = roots[-1] if roots else None
     if s is None or not (0 < s <= t and base.in_nef_cone(gamma(s))):
         raise InternalInconsistencyError(

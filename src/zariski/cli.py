@@ -107,10 +107,9 @@ def cmd_chambers(args) -> tuple[dict, dict | None, int]:
 
 def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
     base = parse_base_literal(args.base)
-    mu = bundle.mu_L(base)
     roots = bundle.mu_candidates(base)
-    z, coeff = bundle.decompose_bundle(base, bundle.L)
-    vol = bundle.volume_L(base)
+    z, mu = bundle.decompose_bundle(base, bundle.L)
+    vol = bundle.intersect3(base, z, z, z)
     result = {
         "base": {
             "D^2": format_rational(base.d_sq),
@@ -125,7 +124,7 @@ def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
             "pi*D": scalar_to_json(z.x),
             "pi*H": scalar_to_json(z.y),
         },
-        "negative_coefficient": scalar_to_json(coeff),
+        "negative_coefficient": scalar_to_json(mu),
         "volume": scalar_to_json(vol),
         "volume_decimal": decimal_approx(vol),
         "volume_is_rational": bundle.is_rational(vol),

@@ -84,8 +84,8 @@ class ConeModel:
     def __post_init__(self):
         r = self.rank
         violations: list[str] = []
-        if not isinstance(self.m, int) or self.m < 1:
-            violations.append(f"exponent m must be a positive integer, got {self.m}")
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
+            violations.append(f"exponent m must be a positive integer, got {self.m!r}")
         if len(self.h) != r:
             violations.append(
                 f"reference class has length {len(self.h)}, expected {r}"
@@ -219,4 +219,4 @@ def cone_model(
         form = symmetric_form(form)
     items = primes.items() if isinstance(primes, Mapping) else primes
     prime_classes = tuple(PrimeClass(name, as_vector(vec)) for name, vec in items)
-    return ConeModel(form=form, primes=prime_classes, h=as_vector(h), m=int(m))
+    return ConeModel(form=form, primes=prime_classes, h=as_vector(h), m=m)

@@ -12,6 +12,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -102,14 +103,16 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+@total_ordering
 class QuadExt:
     """Exact element ``a + b*sqrt(d)`` of a real quadratic extension of Q.
 
-    The radicand is canonicalized on construction: square factors found by
+    The constructor canonicalizes the radicand: square factors found by
     trial division move into ``b``, perfect squares collapse to rationals,
-    and a rational value always carries ``d == 0``.  All arithmetic and
-    comparisons are exact; combining two distinct irrational radicands
-    raises :class:`MixedRadicandError`.
+    and a rational value always carries ``d == 0``.  Arithmetic results
+    keep their operands' radicand, which is reduced already.  All
+    arithmetic and comparisons are exact; combining two distinct irrational
+    radicands raises :class:`MixedRadicandError`.
     """
 
     __slots__ = ("a", "b", "d")
@@ -121,6 +124,9 @@ class QuadExt:
         if b and d > 1:
             s, d = split_square(d)
             b *= s
+        self._collapse(a, b, d)
+
+    def _collapse(self, a: Fraction, b: Fraction, d: int) -> None:
         if d <= 1:
             a, b, d = a + b * d, Fraction(0), 0
         if not b:
@@ -128,6 +134,13 @@ class QuadExt:
         self.a: Fraction = a
         self.b: Fraction = b
         self.d: int = d
+
+    @classmethod
+    def _reduced(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """``a + b*sqrt(d)`` for a radicand ``d`` that is already reduced."""
+        out = object.__new__(cls)
+        out._collapse(a, b, d)
+        return out
 
     # -- classification ------------------------------------------------
 
@@ -173,7 +186,7 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d = self.d or other.d
-        return QuadExt(self.a + other.a, self.b + other.b, d)
+        return QuadExt._reduced(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
@@ -182,21 +195,21 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d = self.d or other.d
-        return QuadExt(self.a - other.a, self.b - other.b, d)
+        return QuadExt._reduced(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
         other = self._unify(other)
         if other is None:
             return NotImplemented
         d = self.d or other.d
-        return QuadExt(other.a - self.a, other.b - self.b, d)
+        return QuadExt._reduced(other.a - self.a, other.b - self.b, d)
 
     def __mul__(self, other):
         other = self._unify(other)
         if other is None:
             return NotImplemented
         d = self.d or other.d
-        return QuadExt(
+        return QuadExt._reduced(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -213,7 +226,7 @@ class QuadExt:
                 f"cannot invert {self}: unreduced radicand {self.d} is a "
                 "perfect square"
             )
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._reduced(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         other = self._unify(other)
@@ -241,7 +254,7 @@ class QuadExt:
         return out
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._reduced(-self.a, -self.b, self.d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -261,18 +274,6 @@ class QuadExt:
     def __lt__(self, other):
         s = self._diff_sign(other)
         return NotImplemented if s is None else s < 0
-
-    def __le__(self, other):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s >= 0
 
     def __hash__(self):
         if self.is_rational:
@@ -320,14 +321,10 @@ def quadratic_roots(a, b, c) -> tuple[QuadExt, ...]:
         return (QuadExt(-b / (2 * a)),)
     num, den = disc.numerator, disc.denominator
     s, d = split_square(num * den)
-    root = Fraction(s, den)  # sqrt(disc) == root * sqrt(d)
-    half = 1 / (2 * a)
-    if d == 1:
-        lo, hi = sorted(((-b - root) * half, (-b + root) * half))
-        return (QuadExt(lo), QuadExt(hi))
-    r1 = QuadExt(-b * half, -root * half, d)
-    r2 = QuadExt(-b * half, root * half, d)
-    return (r1, r2) if r1 < r2 else (r2, r1)
+    # sqrt(disc) == (s / den) * sqrt(d), so the roots are centre -/+ step*sqrt(d)
+    # with step > 0; a square disc gives d == 1, which collapses to rationals
+    centre, step = -b / (2 * a), Fraction(s, den) / (2 * abs(a))
+    return (QuadExt._reduced(centre, -step, d), QuadExt._reduced(centre, step, d))
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,10 @@ def model_from_json(data: Any) -> ConeModel:
     primes = data["primes"]
     if not isinstance(primes, dict):
         raise FormatError("primes must be an object mapping names to vectors")
-    prime_items = [(name, vector_from_json(vec, rank)) for name, vec in primes.items()]
-    ample = vector_from_json(data["ample"], rank)
-    m = data.get("m", 1)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise FormatError(f"m must be a positive integer, got {m!r}")
+    prime_items = [(name, vector_from_json(vec)) for name, vec in primes.items()]
+    ample = vector_from_json(data["ample"])
     try:
-        return cone_model(rows, prime_items, ample, m)
+        return cone_model(rows, prime_items, ample, data.get("m", 1))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -11,11 +11,8 @@ from fractions import Fraction as Q
 from itertools import combinations
 from pathlib import Path
 
-import pytest
-
 from zariski import (
     BaseSurface,
-    FixtureSpec,
     QuadExt,
     brute_force_decompose,
     cone_model,
@@ -28,13 +25,14 @@ from zariski import (
     is_rational,
     load_model,
     mu_L,
+    spec_grid,
     volume,
     volume_L,
     zariski_projection,
 )
 from zariski.bundle import L
 from zariski.cli import main
-from zariski.exact import as_vector, gram_matrix, inner, is_negative_definite, vec_add, vec_scale, zero_vector
+from zariski.exact import as_vector, gram_matrix, is_negative_definite, vec_add, vec_scale, zero_vector
 
 TESTS_DIR = Path(__file__).parent
 
@@ -110,15 +108,7 @@ def test_criterion_4_oracle_equivalence_under_60s():
     started = time.perf_counter()
     model_count = 0
     case_count = 0
-    for i in range(200):
-        rank = 2 + (i % 5)
-        cap = 2 if rank == 2 else min(rank, 6)
-        spec = FixtureSpec(
-            rank=rank,
-            prime_count=i % (cap + 1),
-            seed=1000 + i,
-            coefficient_bound=3 + (i % 2),
-        )
+    for spec in spec_grid(200):
         model = gen_model(spec)
         model_count += 1
         for k in range(5):

@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from zariski import (
     FixtureSpec,
+    bundle,
     dump_model,
     decomposition_from_json,
     decomposition_to_json,
     decompose,
+    exact,
     gen_model,
     load_model,
     model_from_json,
@@ -267,3 +270,25 @@ def test_squarefree_bound_override_changes_radicand_not_value(monkeypatch, capsy
     assert mu["b"] == "1/12"
     assert report["result"]["mu_decimal"] == "0.788675134595"
     assert report["result"]["volume_decimal"] == "0.288675134595"
+
+
+def test_cutkosky_solves_each_quadratic_once(monkeypatch, capsys):
+    """One threshold quadratic for the roots, one for the decomposition;
+    each radicand is reduced where a quadratic produces it, not again."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(exact, "quadratic_roots")
+    count(bundle, "quadratic_roots")
+    count(exact, "split_square")
+    code, _ = run_cli(["cutkosky", "--base", "1,2,1"], capsys)
+    assert code == 0
+    assert calls == {"quadratic_roots": 2, "split_square": 2}

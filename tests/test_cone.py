@@ -68,8 +68,11 @@ def test_validate_rejects_negative_pairwise_primes():
         ({"E": [0, 1]}, [1, 0, 0], 1, "reference class has length 3"),
         ([("E", [0, 1]), ("E", [0, 1])], [1, 0], 1, "duplicate prime name 'E'"),
         ({}, [1, 0], 0, "m must be a positive integer"),
+        ({}, [1, 0], 2.5, "m must be a positive integer"),
+        ({}, [1, 0], True, "m must be a positive integer"),
     ],
-    ids=["prime-length", "h-length", "duplicate-name", "m-zero"],
+    ids=["prime-length", "h-length", "duplicate-name", "m-zero", "m-fractional",
+         "m-boolean"],
 )
 def test_construction_rejects_bad_shape(primes, h, m, finding):
     with pytest.raises(InvalidModelError) as err:

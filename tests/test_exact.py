@@ -162,6 +162,15 @@ def test_quadext_division_errors(monkeypatch):
         1 / square
 
 
+def test_rational_results_carry_no_radicand():
+    x = QuadExt(Q(1, 2), 1, 3)
+    assert repr(x - QuadExt(0, 1, 3)) == "QuadExt(1/2, 0, 0)"
+    assert repr(x * QuadExt(Q(1, 2), -1, 3)) == "QuadExt(-11/4, 0, 0)"
+    assert [repr(r) for r in quadratic_roots(1, -3, 2)] == [
+        "QuadExt(1, 0, 0)", "QuadExt(2, 0, 0)"
+    ]
+
+
 def test_quadext_str_and_json_round_trip():
     x = QuadExt(Q(1, 2), Q(-1, 6), 3)
     assert str(x) == "1/2 - 1/6*sqrt(3)"

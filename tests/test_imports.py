@@ -8,7 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
-    p for p in [*(ROOT / "src" / "zariski").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    p for d in ("src/zariski", "scripts", "tests") for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
 

@@ -22,14 +22,15 @@ from . import bundle
 from .cone import InvalidModelError
 from .engine import (
     NotPseudoEffectiveError,
+    _positive_part,
     decompose,
     enumerate_exceptional_families,
     verify_certificate,
 )
-from .exact import SquarefreeBoundError, combine
 from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
 from .serialize import (
     FormatError,
+    _report_volume,
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
@@ -145,11 +146,7 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
     # Re-derive the positive part from the raw class and the stored
     # coefficients, so tampering with either side is caught by the
     # certificate conditions themselves rather than trusted fields.
-    vec_of = model.prime_vec
-    derived = combine(
-        doc.alpha,
-        ((-c, vec_of[n]) for n, c in doc.negative_coeffs.items() if n in vec_of),
-    )
+    derived = _positive_part(model, doc.alpha, doc.negative_coeffs)
     cert, violations = verify_certificate(
         model, doc.alpha, derived, doc.negative_coeffs
     )
@@ -163,8 +160,7 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
         violations.append(
             "stored support does not match the strictly positive coefficients"
         )
-    qzz = model.q(derived, derived)
-    recomputed_volume = qzz**model.m
+    recomputed_volume = _report_volume(model, derived)
     if recomputed_volume != doc.volume:
         violations.append(
             f"stored volume {doc.volume} differs from recomputed "
@@ -210,7 +206,7 @@ def cmd_fixtures(args) -> tuple[dict, dict | None, int]:
 
 
 def _echo_inputs(args) -> dict:
-    skip = {"handler", "command", "json", "pretty"}
+    skip = {"handler", "command", "pretty"}
     return {
         k: v
         for k, v in vars(args).items()
@@ -258,13 +254,7 @@ def _parser() -> argparse.ArgumentParser:
     def add(name: str, handler, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--json", action="store_true", help="machine-readable report (default)"
-        )
-        mode.add_argument(
-            "--pretty", action="store_true", help="human-readable report"
-        )
+        p.add_argument("--pretty", action="store_true", help="human-readable report")
         return p
 
     p = add("decompose", cmd_decompose, "decompose a class against a model")
@@ -334,7 +324,6 @@ def main(argv=None) -> int:
         FormatError,
         InvalidModelError,
         GenerationExhaustedError,
-        SquarefreeBoundError,
         FileNotFoundError,
         IsADirectoryError,
         PermissionError,

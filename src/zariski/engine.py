@@ -92,6 +92,16 @@ class Decomposition:
         )
 
 
+def _positive_part(
+    model: ConeModel, alpha: Vector, negative_coeffs: Mapping[str, Fraction]
+) -> Vector:
+    """``alpha - sum(c * p)`` over the primes of `negative_coeffs` the model knows."""
+    vec_of = model.prime_vec
+    return combine(
+        alpha, ((-c, vec_of[n]) for n, c in negative_coeffs.items() if n in vec_of)
+    )
+
+
 def verify_certificate(
     model: ConeModel,
     alpha: Vector,
@@ -111,8 +121,7 @@ def verify_certificate(
             violations.append(f"unknown prime '{name}' in negative part")
     usable = {n: c for n, c in negative_coeffs.items() if n in vec_of}
 
-    reconstructed = combine(positive_part, ((c, vec_of[n]) for n, c in usable.items()))
-    if reconstructed != alpha:
+    if _positive_part(model, alpha, negative_coeffs) != positive_part:
         violations.append(
             "reconstruction failed: positive part plus negative part "
             "does not equal the input class"

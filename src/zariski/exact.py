@@ -8,7 +8,6 @@ approximations elsewhere.
 """
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +19,7 @@ from typing import Iterable, Sequence, Union
 Vector = tuple[Fraction, ...]
 Scalar = Union[Fraction, "QuadExt"]
 
-DEFAULT_SQUAREFREE_BOUND = 10**6
-SQUAREFREE_BOUND_ENV = "ZARISKI_SQUAREFREE_BOUND"
+SQUAREFREE_BOUND = 10**6
 
 
 class MixedRadicandError(ValueError):
@@ -40,43 +38,22 @@ class DimensionMismatchError(ValueError):
     """Vector or matrix dimensions do not agree."""
 
 
-class SquarefreeBoundError(ValueError):
-    """The radicand-reduction bound from the environment is not a positive integer."""
-
-
 class CanonicalizationWarning(UserWarning):
     """A radicand could not be certified squarefree within the bound."""
-
-
-def squarefree_bound() -> int:
-    """Trial-division bound for radicand reduction (env-overridable)."""
-    raw = os.environ.get(SQUAREFREE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SQUAREFREE_BOUND
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SquarefreeBoundError(
-            f"{SQUAREFREE_BOUND_ENV} must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise SquarefreeBoundError(f"{SQUAREFREE_BOUND_ENV} must be positive, got {value}")
-    return value
 
 
 def split_square(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` extracting square prime factors.
 
-    Returns ``(s, d)``.  Trial division stops at :func:`squarefree_bound`;
+    Returns ``(s, d)``.  Trial division stops at :data:`SQUAREFREE_BOUND`;
     if a cofactor survives it without being certified prime, it is folded
     into ``d`` unreduced and a :class:`CanonicalizationWarning` is emitted.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    bound = squarefree_bound()
     s, d, m = 1, 1, n
     p = 2
-    while p <= bound and p * p <= m:
+    while p <= SQUAREFREE_BOUND and p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -90,7 +67,7 @@ def split_square(n: int) -> tuple[int, int]:
         if p * p <= m:
             warnings.warn(
                 f"radicand cofactor of {m.bit_length()} bits has no prime factor "
-                f"below {bound}; "
+                f"below {SQUAREFREE_BOUND}; "
                 "leaving it unreduced",
                 CanonicalizationWarning,
                 stacklevel=2,

@@ -8,7 +8,8 @@ they never feed back into any computation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -16,8 +17,8 @@ from typing import Any, Sequence
 
 from .bundle import BaseSurface
 from .cone import ConeModel, cone_model
-from .engine import Certificate, Decomposition
-from .exact import QuadExt, Scalar, Vector, inner
+from .engine import Decomposition
+from .exact import QuadExt, Scalar, Vector
 
 
 class FormatError(ValueError):
@@ -140,8 +141,25 @@ def load_json(path: str | Path) -> Any:
 # ---------------------------------------------------------------------------
 
 
+def _report_volume(model: ConeModel, positive_part: Vector) -> Fraction:
+    """``q(Z, Z)**m``, refused before the power when it cannot be printed.
+
+    A power whose numerator or denominator is at least ``2**k`` with
+    ``3*k >= 10*limit`` has more than ``limit`` decimal digits; a smaller
+    one past the int-to-str limit is refused when it is printed.
+    """
+    qzz, m = model.q(positive_part, positive_part), model.m
+    limit = sys.get_int_max_str_digits()
+    for part in (qzz.numerator, qzz.denominator):
+        if limit and 3 * (part.bit_length() - 1) * m >= 10 * limit:
+            raise FormatError(
+                f"number too large to print: q(Z,Z)**m with m = {m} has more "
+                f"than {limit} digits"
+            )
+    return qzz**m
+
+
 def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
-    qzz = inner(model.form, dec.positive_part, dec.positive_part)
     return {
         "alpha": vector_to_json(dec.alpha),
         "positive_part": vector_to_json(dec.positive_part),
@@ -149,7 +167,7 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
             name: format_rational(c) for name, c in dec.negative_coeffs.items()
         },
         "support": list(dec.support),
-        "volume": format_rational(qzz**model.m),
+        "volume": format_rational(_report_volume(model, dec.positive_part)),
         "certificate": asdict(dec.certificate),
         "iterations": dec.iterations,
     }
@@ -195,22 +213,6 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
         volume=parse_rational(data["volume"]),
         certificate={k: bool(v) for k, v in certificate.items()},
         iterations=iterations,
-    )
-
-
-def rebuild_decomposition(
-    model: ConeModel, doc: DecompositionDocument
-) -> Decomposition:
-    """Reconstitute an exact Decomposition value from a stored document."""
-    return Decomposition(
-        alpha=doc.alpha,
-        positive_part=doc.positive_part,
-        negative_coeffs=dict(doc.negative_coeffs),
-        support=doc.support,
-        iterations=doc.iterations,
-        certificate=Certificate(
-            **{f.name: doc.certificate.get(f.name, False) for f in fields(Certificate)}
-        ),
     )
 
 

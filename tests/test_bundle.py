@@ -9,7 +9,6 @@ import pytest
 from zariski import (
     BaseSurface,
     BundleClass,
-    CanonicalizationWarning,
     FormatError,
     IrrationalClassError,
     MixedRadicandError,
@@ -279,12 +278,11 @@ def test_volume_matches_floating_point_crosscheck(base):
 # -- display approximations --------------------------------------------------------
 
 
-def test_printing_past_the_digit_limit_is_a_format_error(monkeypatch):
+def test_printing_past_the_digit_limit_is_a_format_error():
     with pytest.raises(FormatError, match="too large to print"):
         decimal_approx(Q(10**4400))
-    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
-    with pytest.warns(CanonicalizationWarning):
-        value = QuadExt(0, 1, 11**4200)
+    # a radicand taken as reduced, so no trial division runs
+    value = QuadExt._reduced(Q(0), Q(1), 11**4200)
     with pytest.raises(FormatError, match="too large to print"):
         scalar_to_json(value)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from zariski import (
     load_model,
     model_from_json,
     model_to_json,
-    rebuild_decomposition,
 )
 from zariski.cli import main
 from zariski.serialize import FormatError, parse_base_literal, parse_class_literal
@@ -67,8 +67,7 @@ def test_usage_errors_exit_invalid_input(capsys):
     assert main([]) == 3
     assert main(["no-such-command"]) == 3
     assert main(["decompose", "--model", "data/s1.json"]) == 3  # missing --class
-    assert main(["decompose", "--model", "data/s1.json", "--class=1,2",
-                 "--json", "--pretty"]) == 3
+    assert main(["decompose", "--json", "--model", "data/s1.json", "--class=1,2"]) == 3
     capsys.readouterr()
 
 
@@ -108,58 +107,75 @@ def test_classes_file_must_be_array(tmp_path, capsys):
 
 DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
 SEVENS = "7" * 2500
+DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
+                   "negative_part": {"E": "1"}, "volume": "9"}
 
 
 @pytest.mark.parametrize(
-    "bound, content, argv, fragment",
+    "content, argv, fragment",
     [
-        (None, json.dumps({**DEC_S1, "iterations": "abc"}).encode(),
+        (json.dumps({**DEC_S1, "iterations": "abc"}).encode(),
          ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
          "iterations must be an integer"),
-        (None, b'{"rank": 2, "form": "\xff"}',
+        (b'{"rank": 2, "form": "\xff"}',
          ["decompose", "--model", "{file}", "--class=1,2"], "not valid UTF-8"),
-        ("abc", None, ["cutkosky", "--base", "1,2,1"], "must be an integer"),
-        ("0", None, ["cutkosky", "--base", "1,2,1"], "must be positive"),
-        (None, None, ["exceptional", "--model", "data/s2.json", "--max-size", "-3"],
+        (None, ["exceptional", "--model", "data/s2.json", "--max-size", "-3"],
          "--max-size must be nonnegative"),
-        (None, json.dumps({**DEC_S1, "iterations": True}).encode(),
+        (json.dumps({**DEC_S1, "iterations": True}).encode(),
          ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
          "iterations must be an integer"),
-        (None, json.dumps({"rank": True, "form": [["1"]], "primes": {},
-                           "ample": ["1"]}).encode(),
+        (json.dumps({"rank": True, "form": [["1"]], "primes": {},
+                     "ample": ["1"]}).encode(),
          ["validate", "--model", "{file}"], "rank must be a positive integer"),
-        (None, json.dumps({"rank": 1, "form": [["1"]], "primes": {},
-                           "ample": ["1"], "m": True}).encode(),
+        (json.dumps({"rank": 1, "form": [["1"]], "primes": {},
+                     "ample": ["1"], "m": True}).encode(),
          ["validate", "--model", "{file}"], "m must be a positive integer"),
         # past the interpreter's 4300-digit int<->str limit
-        (None, None, ["decompose", "--model", "data/s1.json", f"--class={SEVENS},0"],
+        (None, ["decompose", "--model", "data/s1.json", f"--class={SEVENS},0"],
          "too large to print"),
-        (None, None, ["decompose", "--model", "data/s1.json", f"--class=-{SEVENS},0"],
+        (None, ["decompose", "--model", "data/s1.json", f"--class=-{SEVENS},0"],
          "too large to print"),
-        (None, None, ["decompose", "--model", "data/s1.json", "--class=1e4300,0"],
+        (None, ["decompose", "--model", "data/s1.json", "--class=1e4300,0"],
          "not a rational: '1e4300'"),
-        (None, f"[[{'7' * 4400}, 0]]".encode(),
+        (f"[[{'7' * 4400}, 0]]".encode(),
          ["chambers", "--model", "data/s1.json", "--classes", "{file}"], "digits"),
-        # a small bound keeps the radicand trial divisions quick
-        ("1000", None, ["cutkosky", "--base", f"1,{'7' * 2200},1"],
+        (None, ["cutkosky", "--base", f"1,{'7' * 2200},1"], "too large to print"),
+        # q(Z,Z) = 9 to the power m = 10**12, refused before the power is taken
+        (None, ["decompose", "--model", "data/s1_huge_m.json", "--class=3,1"],
+         "too large to print"),
+        (json.dumps(DEC_S1_VOLUME_9).encode(),
+         ["check", "--model", "data/s1_huge_m.json", "--decomposition", "{file}"],
          "too large to print"),
     ],
-    ids=["text-iterations", "non-utf8-file", "bound-not-integer", "bound-zero",
-         "negative-max-size", "boolean-iterations", "boolean-rank", "boolean-m",
-         "huge-volume", "huge-refusal-detail", "exponent-literal", "huge-json-integer",
-         "huge-cutkosky-base"],
+    ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
+         "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
+         "exponent-literal", "huge-json-integer", "huge-cutkosky-base",
+         "huge-m-decompose", "huge-m-check"],
 )
-def test_bad_input_is_invalid_input(bound, content, argv, fragment, tmp_path,
-                                    monkeypatch, capsys):
+def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_bytes(content)
-    if bound is not None:
-        monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", bound)
     code, report = run_cli([a.replace("{file}", str(path)) for a in argv], capsys)
     assert code == 3
     assert report["error"]["category"] == "invalid-input"
     assert fragment in report["error"]["message"]
+
+
+def test_huge_m_prints_a_unit_volume(tmp_path, capsys):
+    code, report = run_cli(
+        ["decompose", "--model", "data/s1_huge_m.json", "--class=1,0"], capsys
+    )
+    assert code == 0
+    assert report["result"]["volume"] == "1"
+    stored = tmp_path / "dec.json"
+    stored.write_text(json.dumps(report["result"]))
+    code, report = run_cli(
+        ["check", "--model", "data/s1_huge_m.json", "--decomposition", str(stored)],
+        capsys,
+    )
+    assert code == 0
+    assert report["result"]["volume_recomputed"] == "1"
 
 
 def test_infeasible_fixture_spec_is_invalid_input(capsys):
@@ -208,13 +224,12 @@ def test_fixtures_out_writes_loadable_model(tmp_path, capsys):
 def test_decomposition_document_round_trip(s2):
     d = decompose(s2, [1, 2, 1])
     doc = decomposition_from_json(decomposition_to_json(s2, d))
-    rebuilt = rebuild_decomposition(s2, doc)
-    assert rebuilt.alpha == d.alpha
-    assert rebuilt.positive_part == d.positive_part
-    assert rebuilt.negative_coeffs == dict(d.negative_coeffs)
-    assert rebuilt.support == d.support
-    assert rebuilt.iterations == d.iterations
-    assert rebuilt.certificate == d.certificate
+    assert doc.alpha == d.alpha
+    assert doc.positive_part == d.positive_part
+    assert doc.negative_coeffs == dict(d.negative_coeffs)
+    assert doc.support == d.support
+    assert doc.iterations == d.iterations
+    assert doc.certificate == asdict(d.certificate)
 
 
 # -- literals --------------------------------------------------------------------
@@ -242,7 +257,7 @@ def test_base_literal_parsing():
         parse_base_literal("1,1,2")
 
 
-# -- rendering and environment -----------------------------------------------------
+# -- rendering -----------------------------------------------------------------
 
 
 def test_pretty_rendering_smoke(capsys):
@@ -255,21 +270,6 @@ def test_pretty_rendering_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "volume_decimal: 0.288675134595" in out
-
-
-def test_squarefree_bound_override_changes_radicand_not_value(monkeypatch, capsys):
-    import warnings
-
-    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, report = run_cli(["cutkosky", "--base", "1,2,1"], capsys)
-    assert code == 0
-    mu = report["result"]["mu"]
-    assert mu["d"] == 12  # 12 = 4 * 3 left unsplit under the tiny bound
-    assert mu["b"] == "1/12"
-    assert report["result"]["mu_decimal"] == "0.788675134595"
-    assert report["result"]["volume_decimal"] == "0.288675134595"
 
 
 def test_cutkosky_solves_each_quadratic_once(monkeypatch, capsys):

@@ -26,6 +26,7 @@ from zariski import (
     split_square,
     symmetric_form,
 )
+from zariski.exact import SQUAREFREE_BOUND
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
@@ -52,17 +53,20 @@ def test_split_square_rejects_nonpositive():
         split_square(-4)
 
 
-def test_split_square_beyond_bound_warns_and_leaves_unreduced(monkeypatch):
-    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
+# the least prime past the trial-division bound
+PAST_BOUND = 1000003
+
+
+def test_split_square_beyond_bound_warns_and_leaves_unreduced():
+    assert PAST_BOUND > SQUAREFREE_BOUND
     with pytest.warns(CanonicalizationWarning):
-        s, d = split_square(101 * 101)
-    assert (s, d) == (1, 101 * 101)
+        s, d = split_square(PAST_BOUND**2)
+    assert (s, d) == (1, PAST_BOUND**2)
 
 
-def test_split_square_warning_gives_the_cofactor_size(monkeypatch):
+def test_split_square_warning_gives_the_cofactor_size():
     """A cofactor past the int-to-str digit limit cannot be printed whole."""
-    monkeypatch.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
-    n = 11**4200
+    n = PAST_BOUND**720
     with pytest.warns(CanonicalizationWarning, match=f"of {n.bit_length()} bits"):
         assert split_square(n) == (1, n)
 
@@ -144,20 +148,18 @@ def test_quadext_comparisons():
     assert sorted([Q(1), r2, Q(2)]) == [Q(1), r2, Q(2)]
 
 
-def test_quadext_zero_with_square_radicand_beyond_bound(monkeypatch):
-    with monkeypatch.context() as env, pytest.warns(CanonicalizationWarning):
-        env.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
-        x = QuadExt(101, -1, 101 * 101)
+def test_quadext_zero_with_square_radicand_beyond_bound():
+    with pytest.warns(CanonicalizationWarning):
+        x = QuadExt(PAST_BOUND, -1, PAST_BOUND**2)
     assert x.sign() == 0
     assert x == 0
 
 
-def test_quadext_division_errors(monkeypatch):
+def test_quadext_division_errors():
     with pytest.raises(ZeroDivisionError):
         1 / QuadExt(0)
-    with monkeypatch.context() as env, pytest.warns(CanonicalizationWarning):
-        env.setenv("ZARISKI_SQUAREFREE_BOUND", "10")
-        square = QuadExt(101, -1, 101 * 101)
+    with pytest.warns(CanonicalizationWarning):
+        square = QuadExt(PAST_BOUND, -1, PAST_BOUND**2)
     with pytest.raises(ZeroDivisionError):
         1 / square
 

@@ -1,4 +1,4 @@
-"""Every module uses each name it imports."""
+"""Every module uses each name it imports; the library reads no environment."""
 from __future__ import annotations
 
 import ast
@@ -25,3 +25,22 @@ def test_no_unused_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src/zariski").glob("*.py")), ids=lambda p: p.name
+)
+def test_library_reads_no_environment(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ENVIRONMENT_READS for alias in node.names)
+    ]
+    assert reads == []

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
+    DimensionMismatchError,
     SymmetricForm,
     Vector,
     as_vector,
@@ -57,8 +58,10 @@ class CompiledModel:
     ``form`` is ``scale * Q`` with ``scale`` the least positive integer that
     makes it integral; ``h`` and ``primes[i]`` are the integer vectors
     ``h_den * h`` and ``dens[i] * p_i``.  Hence ``qh = form · h`` gives
-    ``q(h, p_i) = qh · primes[i] / (scale * h_den * dens[i])`` and the prime
-    Gram ``gram[i][j] = primes[i] · form · primes[j]`` equals
+    ``q(h, p_i) = qh · primes[i] / (scale * h_den * dens[i])``, the image
+    ``images[i] = form · primes[i]`` gives ``q(a, p_i) = a · images[i] /
+    (scale * den * dens[i])`` for any integer vector ``a = den * alpha``, and
+    the prime Gram ``gram[i][j] = primes[i] · form · primes[j]`` equals
     ``scale * dens[i] * dens[j] * q(p_i, p_j)``.
     """
 
@@ -69,6 +72,7 @@ class CompiledModel:
     primes: tuple[tuple[int, ...], ...]
     dens: tuple[int, ...]
     qh: tuple[int, ...]
+    images: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
 
 
@@ -119,18 +123,16 @@ class ConeModel:
     @cached_property
     def compiled(self) -> CompiledModel:
         """The integer view of the form, ``h`` and the primes, built once."""
-        entries, scale = clear_denominators(x for row in self.form.entries for x in row)
-        r = self.rank
-        form = tuple(entries[i * r:(i + 1) * r] for i in range(r))
+        form, scale = self.form.cleared
         h, h_den = clear_denominators(self.h)
         cleared = [clear_denominators(p.vec) for p in self.primes]
         primes = tuple(vec for vec, _ in cleared)
-        images = [tuple(dot(row, vec) for row in form) for vec in primes]
+        images = tuple(tuple(dot(row, vec) for row in form) for vec in primes)
         gram = tuple(tuple(dot(u, image) for image in images) for u in primes)
         return CompiledModel(
             scale=scale, form=form, h=h, h_den=h_den, primes=primes,
             dens=tuple(den for _, den in cleared),
-            qh=tuple(dot(row, h) for row in form), gram=gram,
+            qh=tuple(dot(row, h) for row in form), images=images, gram=gram,
         )
 
     # -- validation -----------------------------------------------------
@@ -194,18 +196,34 @@ class ConeModel:
         return self
 
     # -- cone membership -------------------------------------------------
+    #
+    # Signs are read off the integer view: ``a = den * alpha`` is cleared
+    # once, and every pairing below is an integer over a positive denominator.
+
+    def _cleared(self, alpha: Sequence) -> tuple[int, ...]:
+        alpha = as_vector(alpha)
+        if len(alpha) != self.rank:
+            raise DimensionMismatchError(
+                f"class of length {len(alpha)} against a rank-{self.rank} model"
+            )
+        return clear_denominators(alpha)[0]
+
+    def prime_signs(self, alpha: Sequence) -> tuple[int, ...]:
+        """The sign of ``q(alpha, p)`` for each prime ``p``, in model order."""
+        a = self._cleared(alpha)
+        pairings = (dot(a, image) for image in self.compiled.images)
+        return tuple((x > 0) - (x < 0) for x in pairings)
 
     def in_positive_cone_closure(self, alpha: Sequence) -> bool:
         """Closure of the positive half-cone selected by h."""
-        alpha = as_vector(alpha)
-        return self.q(alpha, alpha) >= 0 and self.q(alpha, self.h) >= 0
+        a, c = self._cleared(alpha), self.compiled
+        return dot(a, c.qh) >= 0 and dot(a, [dot(row, a) for row in c.form]) >= 0
 
     def is_dual_nef(self, alpha: Sequence) -> bool:
         """Positive-cone closure plus nonnegative pairing with every prime."""
-        alpha = as_vector(alpha)
         if not self.in_positive_cone_closure(alpha):
             return False
-        return all(self.q(alpha, p.vec) >= 0 for p in self.primes)
+        return all(s >= 0 for s in self.prime_signs(alpha))
 
 
 def cone_model(

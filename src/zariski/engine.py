@@ -16,13 +16,14 @@ independent of the order in which primes are listed.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .cone import ConeModel
 from .exact import (
-    DimensionMismatchError,
     SymmetricForm,
     Vector,
     as_vector,
@@ -60,7 +61,7 @@ class UnknownPrimeError(KeyError):
     """A prime name does not occur in the model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Booleans recording which invariants were re-verified on the result."""
 
@@ -74,7 +75,7 @@ class Certificate:
         return all(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """Result of a decomposition: ``alpha = positive_part + negative part``."""
 
@@ -150,7 +151,14 @@ def verify_certificate(
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
-    return Certificate(orthogonal, negdef, effective, dual_nef), violations
+    return _certificate(orthogonal, negdef, effective, dual_nef), violations
+
+
+@cache
+def _certificate(*checked: bool) -> Certificate:
+    """The certificate with these booleans; it is immutable and takes at most
+    16 values, so results that hold equal certificates share one."""
+    return Certificate(*checked)
 
 
 def _project(
@@ -166,6 +174,43 @@ def _project(
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
 
 
+def _active_set(
+    model: ConeModel, alpha: Vector
+) -> tuple[Vector, dict[str, Fraction], tuple[str, ...], int] | NotPseudoEffectiveError:
+    """The active-set loop of :func:`decompose`.
+
+    Returns ``(positive_part, negative_coeffs, support, rounds)``, or the
+    refusal as a value: :func:`decompose` raises it, so its traceback pins
+    none of this frame's working state.  The residual is exactly orthogonal
+    to every active prime, so only inactive primes can pair negatively.
+    """
+    primes = model.primes
+    active: list[int] = []
+    coeffs: Vector = ()
+    current = alpha
+    rounds = 0
+    while violating := [i for i, s in enumerate(model.prime_signs(current)) if s < 0]:
+        rounds += 1
+        active = sorted({*active, *violating})
+        projected = _project(model.form, alpha, [primes[i].vec for i in active])
+        if projected is None:
+            return NotPseudoEffectiveError(
+                "gram-not-negative-definite",
+                subset=tuple(primes[i].name for i in active),
+            )
+        coeffs, current = projected
+
+    if not model.in_positive_cone_closure(current):
+        return NotPseudoEffectiveError(
+            "positive-cone-closure",
+            q_self=model.q(current, current),
+            q_h=model.q(current, model.h),
+        )
+    negative = {primes[i].name: c for i, c in zip(active, coeffs)}
+    support = tuple(primes[i].name for i, c in zip(active, coeffs) if c > 0)
+    return current, negative, support, max(rounds, 1)
+
+
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     """Active-set orthogonal projection onto the dual-nef cone.
 
@@ -177,60 +222,26 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     outside the closed positive cone.  On success all four certificate
     invariants are re-verified from scratch.  A model that breaks the cone
     axioms raises :class:`InvalidModelError` (the validation report is cached
-    on the model, so this costs one read after the first call).
+    on the model, so this costs one read after the first call).  Every sign
+    the loop reads is an integer dot product on ``model.compiled``.
     """
     model.require_valid()
     alpha = as_vector(alpha)
-    form = model.form
-    primes = model.primes
-    if len(alpha) != model.rank:
-        raise DimensionMismatchError(
-            f"class of length {len(alpha)} against a rank-{model.rank} model"
-        )
-
-    active: list[int] = []
-    coeffs: Vector = ()
-    current = alpha
-    rounds = 0
-    while True:
-        in_active = set(active)
-        violating = [
-            i
-            for i in range(len(primes))
-            if i not in in_active and inner(form, current, primes[i].vec) < 0
-        ]
-        if not violating:
-            break
-        rounds += 1
-        active = sorted(in_active | set(violating))
-        projected = _project(form, alpha, [primes[i].vec for i in active])
-        if projected is None:
-            raise NotPseudoEffectiveError(
-                "gram-not-negative-definite",
-                subset=tuple(primes[i].name for i in active),
-            )
-        coeffs, current = projected
-
-    if not model.in_positive_cone_closure(current):
-        raise NotPseudoEffectiveError(
-            "positive-cone-closure",
-            q_self=inner(form, current, current),
-            q_h=inner(form, current, model.h),
-        )
-
-    negative = {primes[i].name: coeffs[k] for k, i in enumerate(active)}
-    support = tuple(primes[i].name for k, i in enumerate(active) if coeffs[k] > 0)
-    cert, violations = verify_certificate(model, alpha, current, negative)
+    solved = _active_set(model, alpha)
+    if isinstance(solved, NotPseudoEffectiveError):
+        raise solved
+    positive, negative, support, rounds = solved
+    cert, violations = verify_certificate(model, alpha, positive, negative)
     if violations:
         raise InternalInconsistencyError(
             "post-solve certificate verification failed: " + "; ".join(violations)
         )
     return Decomposition(
         alpha=alpha,
-        positive_part=current,
+        positive_part=positive,
         negative_coeffs=negative,
         support=support,
-        iterations=max(rounds, 1),
+        iterations=rounds,
         certificate=cert,
     )
 
@@ -250,10 +261,31 @@ def chamber_of(model: ConeModel, alpha: Sequence) -> tuple[str, ...]:
     return decompose(model, alpha).support
 
 
+def _volume(model: ConeModel, positive_part: Vector) -> Fraction:
+    """``q(Z, Z)**m`` for a positive part ``Z``, refused before the power.
+
+    A power whose numerator or denominator is at least ``2**k`` with
+    ``3*k >= 10*limit`` has more than ``limit`` decimal digits, for the
+    interpreter's int-to-str limit; such a power raises :class:`OverflowError`
+    at once instead of being computed.
+    """
+    qzz, m = model.q(positive_part, positive_part), model.m
+    limit = sys.get_int_max_str_digits()
+    for part in (qzz.numerator, qzz.denominator):
+        if limit and 3 * (part.bit_length() - 1) * m >= 10 * limit:
+            raise OverflowError(
+                f"q(Z,Z)**m with m = {m} has more than {limit} digits"
+            )
+    return qzz**m
+
+
 def volume(model: ConeModel, alpha: Sequence) -> Fraction:
-    """``q(Z, Z)**m`` for the positive part ``Z`` of `alpha`."""
-    p = zariski_projection(model, alpha)
-    return inner(model.form, p, p) ** model.m
+    """``q(Z, Z)**m`` for the positive part ``Z`` of `alpha`.
+
+    Raises :class:`OverflowError` when the power has more decimal digits
+    than the interpreter's int-to-str limit.
+    """
+    return _volume(model, zariski_projection(model, alpha))
 
 
 def is_big(model: ConeModel, alpha: Sequence) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -310,7 +310,12 @@ def quadratic_roots(a, b, c) -> tuple[QuadExt, ...]:
 
 
 def as_vector(coords: Iterable) -> Vector:
-    """Coerce an iterable of rational-like entries to an exact vector."""
+    """Coerce an iterable of rational-like entries to an exact vector.
+
+    A tuple that already holds only Fractions is returned as it is.
+    """
+    if type(coords) is tuple and all(type(x) is Fraction for x in coords):
+        return coords
     return tuple(Fraction(x) for x in coords)
 
 
@@ -340,11 +345,15 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def combine(base: Vector, terms: Iterable[tuple[Fraction, Vector]]) -> Vector:
-    """``base + sum(c * v for c, v in terms)``; zero coefficients are skipped."""
+    """``base + sum(c * v for c, v in terms)``.
+
+    Zero coefficients are skipped, and a zero entry of ``v`` keeps the
+    entry of the running total as it is, without a new Fraction.
+    """
     total = base
     for c, v in terms:
         if c:
-            total = tuple(a + c * b for a, b in zip(total, v, strict=True))
+            total = tuple(a + c * b if b else a for a, b in zip(total, v, strict=True))
     return total
 
 
@@ -375,6 +384,14 @@ class SymmetricForm:
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(rows, scale)``: the integer matrix ``scale * Q`` for the least
+        positive integer ``scale`` that makes it integral, built once."""
+        entries, scale = clear_denominators(x for row in self.entries for x in row)
+        n = self.rank
+        return tuple(entries[i * n:(i + 1) * n] for i in range(n)), scale
+
 
 def symmetric_form(rows: Sequence[Sequence]) -> SymmetricForm:
     """Build a :class:`SymmetricForm`, coercing entries to Fractions."""
@@ -382,18 +399,23 @@ def symmetric_form(rows: Sequence[Sequence]) -> SymmetricForm:
 
 
 def inner(form: SymmetricForm, u: Sequence, v: Sequence) -> Fraction:
-    """Evaluate the bilinear pairing ``u^T Q v`` exactly."""
+    """Evaluate the bilinear pairing ``u^T Q v`` exactly.
+
+    The sum runs in integers: ``form.cleared`` is ``scale * Q``, and ``u``
+    and ``v`` are cleared over their own denominators ``du``, ``dv``, so the
+    pairing is one Fraction with denominator ``scale * du * dv``.
+    """
     n = form.rank
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(
             f"vectors of length {len(u)}, {len(v)} against a rank-{n} form"
         )
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui:
-            row = form.entries[i]
-            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-    return total
+    rows, scale = form.cleared
+    u, du = clear_denominators(u)
+    v, dv = clear_denominators(v)
+    return Fraction(
+        sum(ui * dot(row, v) for ui, row in zip(u, rows) if ui), scale * du * dv
+    )
 
 
 def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricForm:

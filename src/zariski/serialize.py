@@ -8,7 +8,6 @@ they never feed back into any computation.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
@@ -17,7 +16,7 @@ from typing import Any, Sequence
 
 from .bundle import BaseSurface
 from .cone import ConeModel, cone_model
-from .engine import Decomposition
+from .engine import Decomposition, _volume
 from .exact import QuadExt, Scalar, Vector
 
 
@@ -144,19 +143,12 @@ def load_json(path: str | Path) -> Any:
 def _report_volume(model: ConeModel, positive_part: Vector) -> Fraction:
     """``q(Z, Z)**m``, refused before the power when it cannot be printed.
 
-    A power whose numerator or denominator is at least ``2**k`` with
-    ``3*k >= 10*limit`` has more than ``limit`` decimal digits; a smaller
-    one past the int-to-str limit is refused when it is printed.
+    A smaller power past the int-to-str limit is refused when it is printed.
     """
-    qzz, m = model.q(positive_part, positive_part), model.m
-    limit = sys.get_int_max_str_digits()
-    for part in (qzz.numerator, qzz.denominator):
-        if limit and 3 * (part.bit_length() - 1) * m >= 10 * limit:
-            raise FormatError(
-                f"number too large to print: q(Z,Z)**m with m = {m} has more "
-                f"than {limit} digits"
-            )
-    return qzz**m
+    try:
+        return _volume(model, positive_part)
+    except OverflowError as exc:
+        raise FormatError(f"number too large to print: {exc}") from exc
 
 
 def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:

@@ -13,6 +13,7 @@ from zariski import (
     InvalidModelError,
     cone_model,
     decompose,
+    del_pezzo,
     enumerate_exceptional_families,
 )
 from zariski.exact import dot, vec_add, vec_scale
@@ -128,20 +129,26 @@ def test_compiled_view_matches_exact_pairings(model):
 RESCALED_DIGEST = "3e881509c7c57c2acb417089d1478353a98525601251fb2d522f32c3db6195cd"
 
 
-def test_reports_and_families_on_rescaled_grid_models_are_frozen(pool):
+def rescaled_grid_models(pool):
     """The grid models with the form, h and each prime scaled by random
-    nonzero rationals: 162 of the 200 break an axiom, with exact values."""
+    nonzero rationals, drawn from one seeded stream."""
     rng = random.Random(2024)
 
     def draw():
         return Q(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
 
-    lines, failing = [], 0
     for _, model, _ in pool:
         t = draw()
         form = [[t * x for x in row] for row in model.form.entries]
         primes = [(p.name, vec_scale(draw(), p.vec)) for p in model.primes]
-        scaled = cone_model(form, primes, vec_scale(draw(), model.h))
+        yield cone_model(form, primes, vec_scale(draw(), model.h))
+
+
+def test_reports_and_families_on_rescaled_grid_models_are_frozen(pool):
+    """On the rescaled grid models 162 of the 200 break an axiom, with exact
+    values."""
+    lines, failing = [], 0
+    for scaled in rescaled_grid_models(pool):
         report = scaled.validate()
         failing += not report.ok
         lines.append(repr((report.violations, report.warnings,
@@ -195,3 +202,59 @@ def test_dual_nef_cone_closed_under_addition_and_scaling(pool):
         assert model.is_dual_nef(vec_add(zs[0], zs[1]))
         checked += 1
     assert checked == 60
+
+
+def _fraction_image(model, vec):
+    """``Q · vec`` in Fraction arithmetic, apart from the integer view."""
+    return [sum((x * Q(b) for x, b in zip(row, vec)), Q(0)) for row in model.form.entries]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _assert_integer_signs_match(model, classes):
+    images = [_fraction_image(model, v) for v in (model.h, *(p.vec for p in model.primes))]
+    for alpha in classes:
+        q_h, *q_primes = (sum((Q(a) * y for a, y in zip(alpha, image)), Q(0))
+                          for image in images)
+        signs = tuple(_sign(q) for q in q_primes)
+        q_self = sum((Q(a) * y for a, y in zip(alpha, _fraction_image(model, alpha))), Q(0))
+        in_cone = q_self >= 0 and q_h >= 0
+        assert model.prime_signs(alpha) == signs
+        assert model.in_positive_cone_closure(alpha) == in_cone
+        assert model.is_dual_nef(alpha) == (in_cone and min(signs, default=0) >= 0)
+
+
+def _probe_classes(model, rng, count=6):
+    """0, h, the primes, their negatives, and random integer and rational classes."""
+    classes = [(Q(0),) * model.rank, model.h, *(p.vec for p in model.primes)]
+    classes += [vec_scale(-1, c) for c in classes]
+    for _ in range(count):
+        classes.append(tuple(Q(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                             for _ in range(model.rank)))
+    return classes
+
+
+def test_integer_signs_match_fraction_pairings_on_grid_models(pool, pool_decompositions):
+    rng = random.Random(7)
+    for _, model, classes in pool:
+        _assert_integer_signs_match(model, [*classes, *_probe_classes(model, rng)])
+    for model, _, dec in pool_decompositions:
+        _assert_integer_signs_match(model, [dec.positive_part])
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_integer_signs_match_fraction_pairings_on_del_pezzo(r):
+    model = del_pezzo(r)
+    rng = random.Random(r)
+    classes = [(Q(0),) * (r + 1), model.h, *(p.vec for p in model.primes[:12])]
+    classes += [tuple(Q(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(r + 1))
+                for _ in range(4)]
+    _assert_integer_signs_match(model, classes)
+
+
+def test_integer_signs_match_fraction_pairings_on_rescaled_grid_models(pool):
+    rng = random.Random(11)
+    for model in rescaled_grid_models(pool):
+        _assert_integer_signs_match(model, _probe_classes(model, rng, count=3))

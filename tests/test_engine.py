@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from zariski import (
     enumerate_exceptional_families,
     is_big,
     is_exceptional_family,
+    load_model,
     negative_part,
     verify_certificate,
     volume,
@@ -32,6 +34,8 @@ from zariski import (
 )
 from zariski import engine
 from zariski.exact import as_vector, vec_add, vec_scale
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- frozen worked examples ------------------------------------------------
@@ -95,6 +99,28 @@ def test_not_pseudo_effective_degenerate_gram():
     assert err.value.detail == {"subset": ("F",)}
 
 
+def test_results_are_lean(s1):
+    alpha = (Q(1), Q(2))
+    d = decompose(s1, alpha)
+    assert d.alpha is alpha
+    assert not hasattr(d, "__dict__")
+    assert not hasattr(d.certificate, "__dict__")
+
+
+@pytest.mark.parametrize("prime, reason", [([0, 1], "positive-cone-closure"),
+                                           ([1, 1], "gram-not-negative-definite")])
+def test_refusal_traceback_ends_in_decompose(prime, reason):
+    model = cone_model([[1, 0], [0, -1]], {"F": prime}, [1, 0])
+    with pytest.raises(NotPseudoEffectiveError) as err:
+        decompose(model, [-1, 0])
+    assert err.value.reason == reason
+    tb = err.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is engine.decompose.__code__
+    assert not {"active", "coeffs", "current"} & set(tb.tb_frame.f_locals)
+
+
 def test_dimension_mismatch_rejected(s1):
     with pytest.raises(DimensionMismatchError):
         decompose(s1, [1, 2, 3])
@@ -126,6 +152,13 @@ def test_volume_uses_exponent():
         m=2,
     )
     assert volume(model, [1, 2, 1]) == Q(4)
+
+
+def test_volume_refuses_a_power_past_the_digit_limit():
+    model = load_model(DATA / "s1_huge_m.json")  # m = 10**12
+    with pytest.raises(OverflowError, match="more than"):
+        volume(model, [3, 1])  # q(Z, Z) = 9
+    assert volume(model, [1, 0]) == 1
 
 
 def test_is_big_examples(s1):

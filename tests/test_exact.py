@@ -261,6 +261,59 @@ def test_inner_examples():
     assert inner(diag, as_vector([1, 2]), as_vector([1, 2])) == -3
 
 
+def _reference_inner(form, u, v):
+    """The Fraction formula ``inner`` used before it paired in integers."""
+    total = Q(0)
+    for i, ui in enumerate(u):
+        if ui:
+            row = form.entries[i]
+            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
+    return total
+
+
+form_entries = st.one_of(
+    st.builds(Q, st.integers(min_value=-50, max_value=50), st.integers(1, 60)),
+    st.integers(min_value=-(10**20), max_value=10**20),
+)
+vector_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.builds(Q, st.integers(min_value=-(10**15), max_value=10**15),
+              st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def forms_and_vectors(draw):
+    r = draw(st.integers(min_value=1, max_value=8))
+    lower = [[draw(form_entries) for _ in range(i + 1)] for i in range(r)]
+    form = symmetric_form(
+        [[lower[max(i, j)][min(i, j)] for j in range(r)] for i in range(r)]
+    )
+    vector = st.lists(vector_entries, min_size=r, max_size=r)
+    return form, draw(vector), draw(vector)
+
+
+@given(forms_and_vectors())
+@settings(max_examples=200, deadline=None)
+def test_inner_matches_the_fraction_formula(case):
+    form, u, v = case
+    value = inner(form, u, v)
+    assert type(value) is Q
+    assert value == _reference_inner(form, u, v)
+    assert value == inner(form, as_vector(u), as_vector(v)) == inner(form, v, u)
+
+
+def test_as_vector_keeps_a_tuple_of_fractions():
+    vec = (Q(1, 2), Q(-3))
+    assert as_vector(vec) is vec
+    assert as_vector([Q(1, 2), Q(-3)]) == vec
+    mixed = (Q(1, 2), -3)
+    assert as_vector(mixed) == vec and as_vector(mixed) is not mixed
+    assert all(type(x) is Q for x in as_vector(mixed))
+
+
 def test_inner_dimension_mismatch():
     q = symmetric_form([[1, 0], [0, -1]])
     with pytest.raises(DimensionMismatchError):

@@ -27,6 +27,7 @@ from .exact import (
     SymmetricForm,
     Vector,
     as_vector,
+    bareiss_step,
     combine,
     gram_matrix,
     inner,
@@ -167,10 +168,11 @@ def _project(
     """``(coeffs, residual)`` with ``alpha = residual + sum(c * v)`` and the
     residual orthogonal to `vecs`; ``None`` if their Gram is not negative definite.
     """
-    gram = gram_matrix(form, vecs)
-    if not is_negative_definite(gram):
+    if len(vecs) >= form.rank:  # not negative definite in signature (1, r - 1)
         return None
-    coeffs = solve_symmetric(gram, [inner(form, alpha, v) for v in vecs])
+    rhs = [inner(form, alpha, v) for v in vecs]
+    if (coeffs := solve_symmetric(gram_matrix(form, vecs), rhs)) is None:
+        return None
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
 
 
@@ -330,14 +332,6 @@ def enumerate_exceptional_families(
     m = [[-x for x in row] for row in model.compiled.gram]
     out: list[tuple[str, ...]] = [()]
 
-    def bareiss(pivot: int, ab: int, aj: int, jb: int, prev: int) -> int:
-        minor, rest = divmod(pivot * ab - aj * jb, prev)
-        if rest:
-            raise InternalInconsistencyError(
-                f"Bareiss step left remainder {rest} on division by {prev}"
-            )
-        return minor
-
     def walk(family: tuple[str, ...], cands: list[int], schur: list[list[int]],
              prev: int) -> None:
         for t, j in enumerate(cands):
@@ -347,9 +341,9 @@ def enumerate_exceptional_families(
                 continue
             row, pivot = schur[t], schur[t][t]
             keep = [u for u in range(t + 1, len(cands))
-                    if bareiss(pivot, schur[u][u], row[u], row[u], prev) > 0]
+                    if bareiss_step(pivot, schur[u][u], row[u], row[u], prev) > 0]
             walk(grown, [cands[u] for u in keep],
-                 [[bareiss(pivot, schur[a][b], row[a], row[b], prev) for b in keep]
+                 [[bareiss_step(pivot, schur[a][b], row[a], row[b], prev) for b in keep]
                   for a in keep],
                  pivot)
 
@@ -365,8 +359,8 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     Projects `alpha` off the span of each family that
     :func:`enumerate_exceptional_families` lists and keeps candidates with
     nonnegative coefficients and a dual-nef remainder; the cost is the family
-    count, so it reaches del Pezzo r = 6 (27 primes).  A family whose Gram
-    fails :func:`is_negative_definite` raises :class:`InternalInconsistencyError`.
+    count, so it reaches del Pezzo r = 6 (27 primes).  A family that the
+    projection's pivot test refuses raises :class:`InternalInconsistencyError`.
     Exactly one candidate must survive (after identifying candidates that
     differ only by zero-coefficient primes); anything else raises
     :class:`OracleUniquenessError`.  A model that breaks the cone axioms

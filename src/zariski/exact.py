@@ -30,10 +30,6 @@ class DegeneratePolynomialError(ValueError):
     """The leading coefficient of a quadratic polynomial vanished."""
 
 
-class SingularMatrixError(ValueError):
-    """A linear solve met a singular coefficient matrix."""
-
-
 class DimensionMismatchError(ValueError):
     """Vector or matrix dimensions do not agree."""
 
@@ -428,14 +424,24 @@ def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricFo
     return SymmetricForm(tuple(tuple(row) for row in rows))
 
 
+def bareiss_step(pivot: int, x: int, a: int, b: int, prev: int) -> int:
+    """``(pivot * x - a * b) / prev``, exact on bordered minors (Bareiss, 1968)."""
+    out, rest = divmod(pivot * x - a * b, prev)
+    if rest:
+        raise ArithmeticError(f"Bareiss step left remainder {rest} on division by {prev}")
+    return out
+
+
 def signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_minus, n_zero)`` by exact congruence reduction.
 
-    Pivots are produced by symmetric row/column operations only, so the
-    count is exact; no numerical tolerance is involved.
+    Fraction-free steps on the integer ``form.cleared`` keep the working
+    matrix ``prev`` times the rational one, so a pivot ``p`` has the sign
+    ``sign(p) * sign(prev)``.  Only symmetric row/column operations are used.
     """
-    m = form.rows()
+    m = [list(row) for row in form.cleared[0]]
     plus = minus = zero = 0
+    prev = 1
     while m:
         k = len(m)
         if m[0][0] == 0:
@@ -451,61 +457,61 @@ def signature(form: SymmetricForm) -> tuple[int, int, int]:
             for row in m:
                 row[0] += t * row[off]
         p = m[0][0]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         m = [
-            [m[i][j] - m[i][0] * m[0][j] / p for j in range(1, k)]
+            [bareiss_step(p, m[i][j], m[i][0], m[0][j], prev) for j in range(1, k)]
             for i in range(1, k)
         ]
+        prev = p
     return plus, minus, zero
 
 
-def is_negative_definite(gram: SymmetricForm) -> bool:
-    """Exact negative-definiteness test via pivot signs.
+def _eliminate(gram: SymmetricForm, rhs: Sequence = ()) -> list[list[Fraction]] | None:
+    """``[gram | rhs]`` made upper triangular, or ``None`` if `gram` is not
+    negative definite.
 
-    Symmetric elimination without row exchanges yields pivots equal to
-    ratios of leading principal minors; the matrix is negative definite
-    iff every pivot is negative (Sylvester's criterion).  A zero pivot means
-    a leading principal minor vanishes, so the matrix is not definite.
+    Without row exchanges the pivots are ratios of leading principal minors,
+    so `gram` is negative definite iff every pivot is negative (Sylvester's
+    criterion); the pass stops at the first pivot that is not.
     """
     n = gram.rank
-    if n == 0:
-        return True
-    m = gram.rows()
+    aug = [list(row) for row in gram.entries]
+    for row, b in zip(aug, rhs):
+        row.append(Fraction(b))
     for k in range(n):
-        p = m[k][k]
+        p = aug[k][k]
         if p >= 0:
-            return False
+            return None
         for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / p
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return True
+            if aug[i][k]:
+                f = aug[i][k] / p
+                for j in range(k, len(aug[k])):
+                    aug[i][j] -= f * aug[k][j]
+    return aug
 
 
-def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector:
-    """Solve ``gram * x = rhs`` exactly; raises on a singular matrix."""
+def is_negative_definite(gram: SymmetricForm) -> bool:
+    """Exact negative-definiteness test via pivot signs."""
+    return _eliminate(gram) is not None
+
+
+def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
+    """Solve ``gram * x = rhs`` exactly for a negative definite `gram`.
+
+    Returns ``None`` when `gram` is not negative definite; the same pass
+    decides that and solves.
+    """
     n = gram.rank
     if len(rhs) != n:
         raise DimensionMismatchError(
             f"right-hand side of length {len(rhs)} against a rank-{n} matrix"
         )
-    aug = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(gram.entries)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("coefficient matrix is singular")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        p = aug[k][k]
-        for i in range(k + 1, n):
-            if aug[i][k]:
-                f = aug[i][k] / p
-                for j in range(k, n + 1):
-                    aug[i][j] -= f * aug[k][j]
+    aug = _eliminate(gram, rhs)
+    if aug is None:
+        return None
     x = [Fraction(0)] * n
     for k in range(n - 1, -1, -1):
         acc = aug[k][n] - sum(aug[k][j] * x[j] for j in range(k + 1, n))

@@ -93,7 +93,12 @@ def test_violation_prints_its_exact_rational_value():
     )
 
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+# n/d with d <= 12 and |n| <= 6d: the support of st.fractions(-6, 6,
+# max_denominator=12), drawn without its flatmap; k*d // 12 takes every
+# value in [-6d, 6d] as k runs over [-72, 72]
+rationals = st.builds(
+    lambda d, k: Q(k * d // 12, d), st.integers(1, 12), st.integers(-72, 72)
+)
 
 
 @st.composite

@@ -33,7 +33,7 @@ from zariski import (
     zariski_projection,
 )
 from zariski import engine
-from zariski.exact import as_vector, vec_add, vec_scale
+from zariski.exact import as_vector, gram_matrix, solve_symmetric, vec_add, vec_scale
 
 DATA = Path(__file__).parent / "data"
 
@@ -316,6 +316,67 @@ def test_oracle_matches_engine_on_del_pezzo():
                 c = Q(rng.randint(1, 4), rng.randint(1, 3))
                 alpha = vec_add(alpha, vec_scale(c, prime.vec))
             assert_oracle_agrees(model, alpha, decompose(model, alpha))
+
+
+def a_n_chain(n: int):
+    """``C_i = E_i - E_{i+1}`` in ``I_{1,n+1}`` with ``h = (4n, -(n+1), ..., -1)``,
+    and the class ``10n e_0 + sum c_i C_i`` whose pairings with the chain are
+    ``(-3, 1/100, ..., 1/100)``."""
+    rank = n + 2
+    form = [[int(i == j) * (1 if i == 0 else -1) for j in range(rank)] for i in range(rank)]
+    chain = [[int(k == i) - int(k == i + 1) for k in range(rank)] for i in range(1, n + 1)]
+    model = cone_model(form, [(f"C{i + 1}", v) for i, v in enumerate(chain)],
+                       [4 * n] + [-k for k in range(n + 1, 0, -1)])
+    targets = [Q(-3)] + [Q(1, 100)] * (n - 1)
+    coeffs = solve_symmetric(gram_matrix(model.form, [p.vec for p in model.primes]), targets)
+    alpha = vec_scale(10 * n, as_vector([1] + [0] * (rank - 1)))
+    for c, p in zip(coeffs, model.primes):
+        alpha = vec_add(alpha, vec_scale(c, p.vec))
+    assert [model.q(alpha, p.vec) for p in model.primes] == targets
+    return model, alpha
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_n_chain_takes_one_round_per_curve(n):
+    """Each round the residual turns negative on the next curve of the chain
+    only, so the active set grows by one prime per round (Bauer 2009)."""
+    model, alpha = a_n_chain(n)
+    d = decompose(model, alpha)
+    assert d.iterations == n
+    assert d.support == model.prime_names()
+    assert_oracle_agrees(model, alpha, d)
+
+
+def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
+    """In signature (1, r - 1) no family of r or more primes is negative definite,
+    so such an active set is refused without a Gram; on arbitrary integer
+    classes at del Pezzo r = 7 most refusals are of that kind."""
+    model = del_pezzo(7)
+    sizes = []
+
+    def spy(fn):
+        def wrapper(form_or_gram, arg):
+            sizes.append(len(arg))
+            return fn(form_or_gram, arg)
+        return wrapper
+
+    monkeypatch.setattr(engine, "gram_matrix", spy(engine.gram_matrix))
+    monkeypatch.setattr(engine, "solve_symmetric", spy(engine.solve_symmetric))
+    rng = random.Random(7)
+    oversize = []
+    for _ in range(20):
+        alpha = as_vector(rng.randint(-4, 4) for _ in range(model.rank))
+        try:
+            decompose(model, alpha)
+        except NotPseudoEffectiveError as exc:
+            subset = exc.detail.get("subset", ())
+            if len(subset) >= model.rank:
+                assert exc.reason == "gram-not-negative-definite"
+                oversize.append(subset)
+    assert sizes and max(sizes) < model.rank
+    assert len(oversize) >= 10
+    monkeypatch.undo()
+    assert not any(is_exceptional_family(model, subset) for subset in oversize)
 
 
 def test_engine_and_oracle_agree_on_arbitrary_classes(pool):

@@ -15,7 +15,6 @@ from zariski import (
     DimensionMismatchError,
     MixedRadicandError,
     QuadExt,
-    SingularMatrixError,
     as_vector,
     gram_matrix,
     inner,
@@ -26,7 +25,7 @@ from zariski import (
     split_square,
     symmetric_form,
 )
-from zariski.exact import SQUAREFREE_BOUND
+from zariski.exact import SQUAREFREE_BOUND, bareiss_step
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
@@ -359,14 +358,13 @@ def test_solve_symmetric_examples():
     assert solve_symmetric(g, [-3, 0]) == (Q(2), Q(1))
     g2 = symmetric_form([[-2, 0], [0, -2]])
     assert solve_symmetric(g2, [-2, -4]) == (Q(1), Q(2))
-    # zero leading pivot: the solve must exchange rows
+    # an indefinite system is refused, not solved
     g3 = symmetric_form([[0, 1], [1, 0]])
-    assert solve_symmetric(g3, [2, 3]) == (Q(3), Q(2))
+    assert solve_symmetric(g3, [2, 3]) is None
 
 
 def test_solve_symmetric_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_symmetric(symmetric_form([[1, 1], [1, 1]]), [1, 0])
+    assert solve_symmetric(symmetric_form([[1, 1], [1, 1]]), [1, 0]) is None
     with pytest.raises(DimensionMismatchError):
         solve_symmetric(symmetric_form([[1]]), [1, 2])
 
@@ -377,6 +375,63 @@ def _random_symmetric(rng: random.Random, n: int):
         for j in range(i + 1):
             rows[i][j] = rows[j][i] = Q(rng.randint(-4, 4), rng.randint(1, 3))
     return symmetric_form(rows)
+
+
+def _reference_signature(form):
+    """The Fraction congruence reduction that the integer `signature` replaced."""
+    m = form.rows()
+    plus = minus = zero = 0
+    while m:
+        k = len(m)
+        if m[0][0] == 0:
+            off = next((j for j in range(1, k) if m[0][j] != 0), None)
+            if off is None:
+                zero += 1
+                m = [row[1:] for row in m[1:]]
+                continue
+            t = 1 if 2 * m[0][off] + m[off][off] else -1
+            for c in range(k):
+                m[0][c] += t * m[off][c]
+            for row in m:
+                row[0] += t * row[off]
+        p = m[0][0]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        m = [
+            [m[i][j] - m[i][0] * m[0][j] / p for j in range(1, k)]
+            for i in range(1, k)
+        ]
+    return plus, minus, zero
+
+
+def _sparse_symmetric(rng: random.Random, n: int):
+    """Mostly zero entries, so zero pivots and zero rows are common."""
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    return symmetric_form(rows)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_integer_signature_matches_the_fraction_reduction(seed, n):
+    rng = random.Random(seed)
+    for form in (_random_symmetric(rng, n), _sparse_symmetric(rng, n)):
+        c = -Q(rng.randint(1, 7), rng.randint(1, 7))
+        rescaled = symmetric_form([[c * x for x in row] for row in form.entries])
+        plus, minus, zero = _reference_signature(form)
+        assert signature(form) == (plus, minus, zero)
+        assert signature(rescaled) == _reference_signature(rescaled) == (minus, plus, zero)
+
+
+def test_bareiss_step_refuses_an_inexact_division():
+    assert bareiss_step(3, 4, 2, 1, 2) == 5
+    with pytest.raises(ArithmeticError):
+        bareiss_step(1, 1, 1, 0, 2)
 
 
 def _random_unimodular_rows(rng: random.Random, n: int):
@@ -458,6 +513,19 @@ def test_solve_symmetric_satisfies_system(seed, n):
     x = solve_symmetric(g, rhs)
     for i in range(n):
         assert sum(g.entries[i][j] * x[j] for j in range(n)) == rhs[i]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_solve_symmetric_solves_exactly_the_negative_definite_systems(seed, n):
+    rng = random.Random(seed)
+    g = _random_symmetric(rng, n)
+    rhs = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    x = solve_symmetric(g, rhs)
+    assert (x is None) == (not is_negative_definite(g))
+    if x is not None:
+        for i in range(n):
+            assert sum(g.entries[i][j] * x[j] for j in range(n)) == rhs[i]
 
 
 def test_gram_matrix():

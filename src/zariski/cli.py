@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 from time import perf_counter
 
@@ -244,7 +245,13 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, indent=2, default=str))
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints, so in-process callers share it.
+    """
     parser = argparse.ArgumentParser(
         prog="zariski",
         description="Exact divisorial Zariski decompositions on Lorentzian lattices.",

@@ -128,11 +128,17 @@ class ConeModel:
         cleared = [clear_denominators(p.vec) for p in self.primes]
         primes = tuple(vec for vec, _ in cleared)
         images = tuple(tuple(dot(row, vec) for row in form) for vec in primes)
-        gram = tuple(tuple(dot(u, image) for image in images) for u in primes)
+        # the form is symmetric, so one triangle of the Gram is mirrored
+        n = len(primes)
+        gram = [[0] * n for _ in range(n)]
+        for i, u in enumerate(primes):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = dot(u, images[j])
         return CompiledModel(
             scale=scale, form=form, h=h, h_den=h_den, primes=primes,
             dens=tuple(den for _, den in cleared),
-            qh=tuple(dot(row, h) for row in form), images=images, gram=gram,
+            qh=tuple(dot(row, h) for row in form), images=images,
+            gram=tuple(map(tuple, gram)),
         )
 
     # -- validation -----------------------------------------------------

@@ -39,6 +39,8 @@ from .exact import (
 class NotPseudoEffectiveError(Exception):
     """The input class lies outside the modeled pseudo-effective cone."""
 
+    __slots__ = ("reason", "detail")  # a retained refusal keeps no instance dict
+
     def __init__(self, reason: str, **detail):
         self.reason = reason
         self.detail = detail

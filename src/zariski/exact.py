@@ -390,8 +390,11 @@ class SymmetricForm:
 
 
 def symmetric_form(rows: Sequence[Sequence]) -> SymmetricForm:
-    """Build a :class:`SymmetricForm`, coercing entries to Fractions."""
-    return SymmetricForm(tuple(tuple(Fraction(x) for x in row) for row in rows))
+    """Build a :class:`SymmetricForm`, coercing entries to Fractions.
+
+    A row that is already a tuple of Fractions is kept as it is.
+    """
+    return SymmetricForm(tuple(as_vector(row) for row in rows))
 
 
 def inner(form: SymmetricForm, u: Sequence, v: Sequence) -> Fraction:

@@ -27,9 +27,14 @@ class FormatError(ValueError):
 def parse_rational(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise FormatError(f"expected a rational, got {value!r}")
-    if isinstance(value, str) and "e" in value.lower():
-        # Fraction would build 10**exponent before any size check.
-        raise FormatError(f"not a rational: {value!r}")
+    if isinstance(value, str):
+        try:  # most entries are integers, and int parses them without a regex
+            return Fraction(int(value))
+        except ValueError:
+            pass
+        if "e" in value.lower():
+            # Fraction would build 10**exponent before any size check.
+            raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, (int, str, Fraction)):
         try:
             return Fraction(value)

@@ -1,18 +1,24 @@
 """Command-line interface: golden reports, exit codes, round trips."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 from collections import Counter
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zariski import (
     CanonicalizationWarning,
     FixtureSpec,
     bundle,
+    cli,
     dump_model,
     decomposition_from_json,
     decomposition_to_json,
@@ -22,9 +28,15 @@ from zariski import (
     load_model,
     model_from_json,
     model_to_json,
+    serialize,
 )
 from zariski.cli import main
-from zariski.serialize import FormatError, parse_base_literal, parse_class_literal
+from zariski.serialize import (
+    FormatError,
+    parse_base_literal,
+    parse_class_literal,
+    parse_rational,
+)
 
 TESTS_DIR = Path(__file__).parent
 GOLDEN_NAMES = sorted(p.stem for p in (TESTS_DIR / "golden").glob("*.json"))
@@ -52,6 +64,38 @@ def test_golden_report(name, capsys):
     assert isinstance(report.pop("timing_ms"), (int, float))
     assert code == doc["exit_code"]
     assert report == doc["report"]
+
+
+def test_cached_parser_leaks_nothing_between_commands(monkeypatch, capsys):
+    """Every golden, replayed forward and then in reverse in one process, is
+    printed byte for byte; a ``--max-size --pretty`` command before each one
+    carries neither option over; usage errors and help still behave after
+    them, and the parser is built once."""
+    builds = Counter()
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds["parser"] += 1
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli._parser.cache_clear()
+    goldens = [json.loads((TESTS_DIR / "golden" / f"{n}.json").read_text())
+               for n in GOLDEN_NAMES]
+    for doc in goldens + goldens[::-1]:
+        code = main(["exceptional", "--model", "data/affine_a2.json",
+                     "--max-size", "1", "--pretty"])
+        assert code == 0
+        assert "max_size: 1" in capsys.readouterr().out
+        code = main(doc["argv"])
+        out = capsys.readouterr().out
+        assert code == doc["exit_code"]
+        timing = json.loads(out)["timing_ms"]
+        assert out == json.dumps({**doc["report"], "timing_ms": timing}, indent=2) + "\n"
+    test_usage_errors_exit_invalid_input(capsys)
+    test_help_exits_zero(capsys)
+    assert builds == {"parser": 1}
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_golden_corpus_covers_all_exit_codes():
@@ -252,6 +296,69 @@ def test_class_literal_parsing():
         parse_class_literal("1,x")
     with pytest.raises(FormatError, match="expects 3"):
         parse_class_literal("1,2", rank=3)
+
+
+def _reference_parse_rational(value: Any) -> Fraction:
+    """``serialize.parse_rational`` as it was before its integer fast path."""
+    if isinstance(value, bool):
+        raise FormatError(f"expected a rational, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        raise FormatError(f"not a rational: {value!r}")
+    if isinstance(value, (int, str, Fraction)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a rational: {value!r}") from exc
+    raise FormatError(f"expected a rational, got {type(value).__name__}")
+
+
+def _outcome(parse, value) -> tuple:
+    try:
+        result = parse(value)
+    except FormatError as exc:
+        return ("refused", str(exc))
+    return ("parsed", type(result), result)
+
+
+# "\u0663" is the Arabic-Indic digit three, "\uff11" the fullwidth digit one
+_LITERAL_EDGES = ["1_0", "1_0/3", "1__0", "_1", "1_", "\u0663", "\u0661\u0660/3", "1.5",
+                  "-.5", "1/3", "1/0", "-0", "+0/5", "1e3", "1E3", "1e4300", "", " ",
+                  "7" * 4300, "7" * 4301, "-" + "7" * 4301, True, False, 3, -0,
+                  Fraction(2, 3), 1.5, None, ["1"]]
+_padding = st.sampled_from(["", " ", "\t", "\n", "\u2003", "\x1c"])
+_digits = st.integers(0, 10**6).flatmap(lambda n: st.sampled_from([str(n), f"{n:_}"]))
+_literals = st.builds(
+    lambda pad, sign, digits, tail, end: pad + sign + digits + tail + end,
+    _padding, st.sampled_from(["", "-", "+", "--"]), _digits,
+    st.sampled_from(["", "/3", "/0", "/1_0", ".5", "e3", "E3", "x"]), _padding,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(_LITERAL_EDGES) | _literals
+    | st.text("0123456789_/.+-eE \t\u0663\uff11", max_size=10)
+)
+def test_parse_rational_agrees_with_the_reference(value):
+    assert _outcome(parse_rational, value) == _outcome(_reference_parse_rational, value)
+
+
+def test_load_model_coerces_each_entry_once(monkeypatch):
+    produced = []
+
+    def spy(value):
+        produced.append(parse_rational(value))
+        return produced[-1]
+
+    monkeypatch.setattr(serialize, "parse_rational", spy)
+    doc = json.loads((TESTS_DIR / "data" / "s1.json").read_text())
+    model = load_model(TESTS_DIR / "data" / "s1.json")
+    entries = [*doc["form"], *doc["primes"].values(), doc["ample"]]
+    assert len(produced) == sum(len(vec) for vec in entries)
+    loaded = [x for vec in (*model.form.entries, *(p.vec for p in model.primes), model.h)
+              for x in vec]
+    assert len(loaded) == len(produced)
+    assert all(x is y for x, y in zip(loaded, produced))
 
 
 def test_base_literal_parsing():

@@ -107,6 +107,17 @@ def test_results_are_lean(s1):
     assert not hasattr(d.certificate, "__dict__")
 
 
+def test_refusals_are_lean():
+    model = cone_model([[1, 0], [0, -1]], {"F": [1, 1]}, [1, 0])
+    with pytest.raises(NotPseudoEffectiveError) as err:
+        decompose(model, [-1, 0])
+    exc = err.value
+    assert exc.reason == "gram-not-negative-definite"
+    assert exc.detail == {"subset": ("F",)}
+    assert str(exc) == "gram-not-negative-definite (subset=('F',))"
+    assert exc.__dict__ == {}
+
+
 @pytest.mark.parametrize("prime, reason", [([0, 1], "positive-cone-closure"),
                                            ([1, 1], "gram-not-negative-definite")])
 def test_refusal_traceback_ends_in_decompose(prime, reason):
@@ -522,7 +533,12 @@ def test_volume_positive_iff_big(pool_decompositions):
 
 # -- closed-form oracle for the rank-2 single-prime model ---------------------
 
-_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+# n/d with d <= 12 and |n| <= 8d: the support of st.fractions(-8, 8,
+# max_denominator=12), drawn without its flatmap; k*d // 12 takes every
+# value in [-8d, 8d] as k runs over [-96, 96]
+_fracs = st.builds(
+    lambda d, k: Q(k * d // 12, d), st.integers(1, 12), st.integers(-96, 96)
+)
 
 
 @settings(max_examples=300, deadline=None)

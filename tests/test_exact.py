@@ -27,7 +27,12 @@ from zariski import (
 )
 from zariski.exact import SQUAREFREE_BOUND, bareiss_step
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+# n/d with d <= 6 and |n| <= 6d: the support of st.fractions(-6, 6,
+# max_denominator=6), drawn without its flatmap; k*d // 6 takes every
+# value in [-6d, 6d] as k runs over [-36, 36]
+rationals = st.builds(
+    lambda d, k: Q(k * d // 6, d), st.integers(1, 6), st.integers(-36, 36)
+)
 nonzero_rationals = rationals.filter(bool)
 radicands = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15])
 

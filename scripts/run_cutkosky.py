@@ -68,8 +68,8 @@ def main() -> int:
         rational = is_rational(vol)
         irrational += not rational
         print(
-            f"{literal:>10} | {str(mu):>22} | {decimal_approx(mu, 12):>14} | "
-            f"{str(vol):>22} | {decimal_approx(vol, 12):>14} | "
+            f"{literal:>10} | {str(mu):>22} | {decimal_approx(mu):>14} | "
+            f"{str(vol):>22} | {decimal_approx(vol):>14} | "
             f"{'yes' if rational else 'NO'}"
         )
         if not rational:

@@ -58,14 +58,8 @@ EXIT_INVALID_INPUT = 3
 # ---------------------------------------------------------------------------
 
 
-def _load_valid_model(path: str):
-    model = load_model(path)
-    model.require_valid()
-    return model
-
-
 def cmd_decompose(args) -> tuple[dict, dict | None, int]:
-    model = _load_valid_model(args.model)
+    model = load_model(args.model).require_valid()
     alpha = parse_class_literal(getattr(args, "class"), model.rank)
     dec = decompose(model, alpha)
     result = decomposition_to_json(model, dec)
@@ -75,7 +69,7 @@ def cmd_decompose(args) -> tuple[dict, dict | None, int]:
 def cmd_exceptional(args) -> tuple[dict, dict | None, int]:
     if args.max_size is not None and args.max_size < 0:
         raise FormatError(f"--max-size must be nonnegative, got {args.max_size}")
-    model = _load_valid_model(args.model)
+    model = load_model(args.model).require_valid()
     families = enumerate_exceptional_families(model, args.max_size)
     effective_cap = model.rank if args.max_size is None else min(args.max_size, model.rank)
     result = {
@@ -87,7 +81,7 @@ def cmd_exceptional(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_chambers(args) -> tuple[dict, dict | None, int]:
-    model = _load_valid_model(args.model)
+    model = load_model(args.model).require_valid()
     data = load_json(args.classes)
     if not isinstance(data, list):
         raise FormatError("class list file must hold a JSON array of classes")
@@ -137,7 +131,7 @@ def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_check(args) -> tuple[dict, dict | None, int]:
-    model = _load_valid_model(args.model)
+    model = load_model(args.model).require_valid()
     doc = decomposition_from_json(load_json(args.decomposition))
     if len(doc.alpha) != model.rank or len(doc.positive_part) != model.rank:
         raise FormatError(
@@ -177,8 +171,7 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_validate(args) -> tuple[dict, dict | None, int]:
-    model = load_model(args.model)
-    report = model.validate()
+    report = load_model(args.model).report
     result = {
         "violations": list(report.violations),
         "warnings": list(report.warnings),
@@ -242,7 +235,7 @@ def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         print("\n".join(_render_pretty(report)))
     else:
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, indent=2))
 
 
 @cache

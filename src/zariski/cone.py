@@ -18,6 +18,7 @@ from .exact import (
     Vector,
     as_vector,
     clear_denominators,
+    describe,
     dot,
     inner,
     signature,
@@ -164,7 +165,7 @@ class ConeModel:
         if qh <= 0:
             violations.append(
                 "reference class must satisfy q(h, h) > 0, got "
-                f"{Fraction(qh, c.scale * c.h_den ** 2)}"
+                f"{describe(Fraction(qh, c.scale * c.h_den ** 2))}"
             )
         for p, vec, den in zip(self.primes, c.primes, c.dens):
             if not any(vec):
@@ -174,7 +175,7 @@ class ConeModel:
             if pairing < 0:
                 violations.append(
                     f"prime '{p.name}' pairs negatively with h: "
-                    f"q = {Fraction(pairing, c.scale * c.h_den * den)}"
+                    f"q = {describe(Fraction(pairing, c.scale * c.h_den * den))}"
                 )
             elif pairing == 0:
                 warnings.append(
@@ -185,8 +186,8 @@ class ConeModel:
                 if row[j] < 0:
                     a, b = self.primes[i].name, self.primes[j].name
                     violations.append(
-                        f"distinct primes '{a}', '{b}' must pair nonnegatively: "
-                        f"q = {Fraction(row[j], c.scale * c.dens[i] * c.dens[j])}"
+                        f"distinct primes '{a}', '{b}' must pair nonnegatively: q = "
+                        f"{describe(Fraction(row[j], c.scale * c.dens[i] * c.dens[j]))}"
                     )
         return ValidationReport(tuple(violations), tuple(warnings))
 

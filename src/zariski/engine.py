@@ -29,11 +29,11 @@ from .exact import (
     as_vector,
     bareiss_step,
     combine,
+    describe,
     gram_matrix,
     inner,
     is_negative_definite,
     solve_symmetric,
-    zero_vector,
 )
 
 class NotPseudoEffectiveError(Exception):
@@ -50,6 +50,10 @@ class NotPseudoEffectiveError(Exception):
         # on demand, so a detail past the int-to-str digit limit cannot break the raise
         extras = ", ".join(f"{k}={v}" for k, v in self.detail.items())
         return self.reason + (f" ({extras})" if extras else "")
+
+    def __reduce__(self):
+        # BaseException's own reduce carries only args and the (empty) instance dict
+        return type(self), (self.reason,), {"detail": self.detail}
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -85,15 +89,13 @@ class Decomposition:
     alpha: Vector
     positive_part: Vector
     negative_coeffs: Mapping[str, Fraction]
-    support: tuple[str, ...]
     iterations: int
     certificate: Certificate
 
-    def negative_vector(self, model: ConeModel) -> Vector:
-        return combine(
-            zero_vector(len(self.alpha)),
-            ((c, model.prime_vec[n]) for n, c in self.negative_coeffs.items()),
-        )
+    @property
+    def support(self) -> tuple[str, ...]:
+        """The primes with a positive coefficient, in ``negative_coeffs`` order."""
+        return tuple(n for n, c in self.negative_coeffs.items() if c > 0)
 
 
 def _positive_part(
@@ -137,7 +139,7 @@ def verify_certificate(
         if pairing != 0:
             orthogonal = False
             violations.append(
-                f"orthogonality violated: q(positive_part, {name}) = {pairing}"
+                f"orthogonality violated: q(positive_part, {name}) = {describe(pairing)}"
             )
 
     support_vecs = [vec_of[n] for n, c in usable.items() if c > 0]
@@ -180,10 +182,10 @@ def _project(
 
 def _active_set(
     model: ConeModel, alpha: Vector
-) -> tuple[Vector, dict[str, Fraction], tuple[str, ...], int] | NotPseudoEffectiveError:
+) -> tuple[Vector, dict[str, Fraction], int] | NotPseudoEffectiveError:
     """The active-set loop of :func:`decompose`.
 
-    Returns ``(positive_part, negative_coeffs, support, rounds)``, or the
+    Returns ``(positive_part, negative_coeffs, rounds)``, or the
     refusal as a value: :func:`decompose` raises it, so its traceback pins
     none of this frame's working state.  The residual is exactly orthogonal
     to every active prime, so only inactive primes can pair negatively.
@@ -211,8 +213,7 @@ def _active_set(
             q_h=model.q(current, model.h),
         )
     negative = {primes[i].name: c for i, c in zip(active, coeffs)}
-    support = tuple(primes[i].name for i, c in zip(active, coeffs) if c > 0)
-    return current, negative, support, max(rounds, 1)
+    return current, negative, max(rounds, 1)
 
 
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
@@ -234,7 +235,7 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     solved = _active_set(model, alpha)
     if isinstance(solved, NotPseudoEffectiveError):
         raise solved
-    positive, negative, support, rounds = solved
+    positive, negative, rounds = solved
     cert, violations = verify_certificate(model, alpha, positive, negative)
     if violations:
         raise InternalInconsistencyError(
@@ -244,7 +245,6 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
         alpha=alpha,
         positive_part=positive,
         negative_coeffs=negative,
-        support=support,
         iterations=rounds,
         certificate=cert,
     )
@@ -400,7 +400,6 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
         alpha=alpha,
         positive_part=residual,
         negative_coeffs=coeff_map,
-        support=tuple(coeff_map),
         iterations=0,
         certificate=cert,
     )

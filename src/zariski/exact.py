@@ -76,6 +76,14 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def describe(x: Fraction) -> str:
+    """``str(x)`` for a message, which must not raise: past the digit limit, its size."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<a number of {x.numerator.bit_length()} bits>"
+
+
 @total_ordering
 class QuadExt:
     """Exact element ``a + b*sqrt(d)`` of a real quadratic extension of Q.
@@ -269,13 +277,6 @@ class QuadExt:
             return radical if self.b > 0 else f"-{radical}"
         op = "+" if self.b > 0 else "-"
         return f"{self.a} {op} {radical}"
-
-    def to_dict(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "d": self.d}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadExt":
-        return cls(Fraction(data["a"]), Fraction(data["b"]), int(data["d"]))
 
 
 def quadratic_roots(a, b, c) -> tuple[QuadExt, ...]:

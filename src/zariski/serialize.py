@@ -138,6 +138,8 @@ def load_json(path: str | Path) -> Any:
         ) from exc
     except ValueError as exc:  # an integer past the int-from-str digit limit
         raise FormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +251,17 @@ def parse_base_literal(text: str) -> BaseSurface:
 # display-only decimal approximation
 # ---------------------------------------------------------------------------
 
+_PLACES = 12
 _GUARD_DIGITS = 15
 
 
-def decimal_approx(value: Scalar, places: int = 12) -> str:
-    """Decimal string of an exact scalar, correct to `places` digits.
+def decimal_approx(value: Scalar) -> str:
+    """Decimal string of an exact scalar, correct to 12 places.
 
     Computed entirely with integer arithmetic (scaled floors and integer
     square roots); intended for human-facing reports only.
     """
-    shift = 10 ** (places + _GUARD_DIGITS)
+    shift = 10 ** (_PLACES + _GUARD_DIGITS)
     if isinstance(value, QuadExt):
         a, b, d = value.a, value.b, value.d
     else:
@@ -278,5 +281,5 @@ def decimal_approx(value: Scalar, places: int = 12) -> str:
     digits = (total + guard // 2) // guard
     sign = "-" if digits < 0 else ""
     digits = abs(digits)
-    int_part, frac_part = divmod(digits, 10**places)
-    return f"{sign}{to_text(int_part)}.{frac_part:0{places}d}"
+    int_part, frac_part = divmod(digits, 10**_PLACES)
+    return f"{sign}{to_text(int_part)}.{frac_part:0{_PLACES}d}"

@@ -295,4 +295,3 @@ def test_decimal_approx_pins():
     assert decimal_approx(Q(0)) == "0.000000000000"
     assert decimal_approx(QuadExt(Q(1, 2), Q(1, 6), 3)) == "0.788675134595"
     assert decimal_approx(volume_L(BaseSurface(1, 2, 1))) == "0.288675134595"
-    assert decimal_approx(Q(1, 4), places=3) == "0.250"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -153,6 +154,7 @@ def test_classes_file_must_be_array(tmp_path, capsys):
 
 DEC_S1 = json.loads((TESTS_DIR / "data" / "dec_s1.json").read_text())
 SEVENS = "7" * 2500
+SEVENS_4299 = "7" * 4299  # just under the interpreter's int<->str limit
 DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
                    "negative_part": {"E": "1"}, "volume": "9"}
 
@@ -192,11 +194,26 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
         (json.dumps(DEC_S1_VOLUME_9).encode(),
          ["check", "--model", "data/s1_huge_m.json", "--decomposition", "{file}"],
          "too large to print"),
+        (b"[" * 5000 + b"]" * 5000,
+         ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
+         "nested too deeply"),
+        # q(E, F) = -SEVENS_4299**2 in the violation message
+        (json.dumps({"rank": 2, "form": [["1", "0"], ["0", "-1"]], "ample": ["1", "0"],
+                     "primes": {"E": [SEVENS_4299, SEVENS_4299],
+                                "F": ["0", SEVENS_4299]}}).encode(),
+         ["decompose", "--model", "{file}", "--class=1,0"], "must pair nonnegatively"),
+        # the residual 1/(H + 2) - 1/H, H = SEVENS_4299, pairs with E to a
+        # denominator of 8598 digits in the orthogonality message
+        (json.dumps({**DEC_S1, "alpha": ["1", f"1/{SEVENS_4299[:-1]}9"],
+                     "negative_part": {"E": f"1/{SEVENS_4299}"}}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "too large to print"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
          "exponent-literal", "huge-json-integer", "huge-cutkosky-base",
-         "huge-m-decompose", "huge-m-check"],
+         "huge-m-decompose", "huge-m-check", "deeply-nested-json",
+         "huge-prime-pairing-message", "huge-orthogonality-message"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -232,6 +249,158 @@ def test_infeasible_fixture_spec_is_invalid_input(capsys):
     code, report = run_cli(["fixtures", "--spec", "2,6,3"], capsys)
     assert code == 3
     assert "spec too tight" in report["error"]["message"]
+
+
+# -- input robustness --------------------------------------------------------------
+
+# Vector entries, as written into a JSON file; the "<raw-…>" strings become bare
+# JSON numbers of that many digits, one short of and one past the int<->str limit.
+_RAW_NUMBERS = {"<raw-under>": SEVENS_4299, "<raw-past>": "7" * 4301}
+_GOOD_ENTRIES = st.sampled_from(
+    [0, 1, -2, "0", "1", "-1", "1/2", "-3/4", SEVENS_4299, f"-{SEVENS_4299}",
+     f"1/{SEVENS_4299}", "<raw-under>"]
+)
+_BAD_ENTRIES = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 1.5, True, False, None, [1], [[]], {},
+     "1/0", "abc", "1e5", "", "7" * 4301, "<raw-past>"]
+)
+_JUNK_TEXTS = st.sampled_from(
+    ["", "nope", "{", "[1, 2", "null", "1e999", "NaN", '{"rank": 2', "[" * 3000]
+)
+_JUNK_LITERALS = st.sampled_from(["", "x", "1,,2", "1e5", "1/0", "nan", "[1]", "1,true"])
+_REQUIRED = {"model": ("rank", "form", "primes", "ample"),
+             "classes": (),
+             "decomposition": ("alpha", "positive_part", "negative_part", "support", "volume")}
+_NUMERIC = {"model": ("rank", "form", "primes", "ample", "m"),
+            "classes": None,
+            "decomposition": ("alpha", "positive_part", "negative_part", "volume")}
+
+
+def _json_text(doc) -> str:
+    text = json.dumps(doc)
+    for key, digits in _RAW_NUMBERS.items():
+        text = text.replace(json.dumps(key), digits)
+    return text
+
+
+def _slots(doc, keys=None) -> list[tuple[Any, Any]]:
+    """``(container, key)`` of every scalar under `keys` of `doc` (all of it if None)."""
+    found = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if keys is not None and key not in keys:
+            continue
+        if isinstance(value, (dict, list)):
+            found.extend(_slots(value))
+        else:
+            found.append((doc, key))
+    return found
+
+
+def _vectors(doc, keys=None) -> list[list]:
+    """The nonempty lists of scalars under `keys` of `doc`: the vectors a
+    length defect can bend."""
+    if isinstance(doc, list) and doc and not any(isinstance(v, (dict, list)) for v in doc):
+        return [doc]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [vec for key, value in items if keys is None or key in keys
+            if isinstance(value, (dict, list)) for vec in _vectors(value)]
+
+
+@st.composite
+def _cli_inputs(draw):
+    """``(argv, files, malformed)``: one command over a model file and, for
+    `chambers` and `check`, a second file; `malformed` says that one defect
+    was put into the input the command reads last."""
+    rank = draw(st.integers(1, 3))
+    vector = st.lists(_GOOD_ENTRIES, min_size=rank, max_size=rank)
+    form = [["1" if i == j == 0 else "-1" if i == j else "0" for j in range(rank)]
+            for i in range(rank)]
+    if rank > 1 and draw(st.booleans()):
+        i, j = draw(st.sampled_from([(i, j) for i in range(rank) for j in range(i)]))
+        form[i][j] = form[j][i] = draw(_GOOD_ENTRIES)
+    docs = {"model": {"rank": rank, "form": form,
+                      "primes": draw(st.dictionaries(st.sampled_from("EFG"), vector,
+                                                     max_size=3)),
+                      "ample": ["1"] + ["0"] * (rank - 1)}}
+    if draw(st.booleans()):
+        docs["model"]["m"] = draw(st.sampled_from([1, 2, 10**12]))
+    command = draw(st.sampled_from(
+        ["validate", "decompose", "exceptional", "chambers", "check"]))
+    argv = [command, "--model", "model.json"]
+    literal = ",".join(str(_RAW_NUMBERS.get(x, x)) for x in draw(vector))
+    if command == "chambers":
+        docs["classes"] = draw(st.lists(vector, max_size=3))
+        argv += ["--classes", "classes.json"]
+    elif command == "check":
+        docs["decomposition"] = {
+            "alpha": draw(vector), "positive_part": draw(vector),
+            "negative_part": draw(st.dictionaries(st.sampled_from("EFX"), _GOOD_ENTRIES,
+                                                  max_size=2)),
+            "support": draw(st.lists(st.sampled_from("EF"), max_size=2)),
+            "volume": draw(_GOOD_ENTRIES),
+        }
+        argv += ["--decomposition", "decomposition.json"]
+    target = list(docs)[-1]
+    doc = docs[target]
+    defect = draw(st.sampled_from(
+        ["none", "entry", "length", "missing", "asymmetric", "truncated", "junk",
+         "literal"]))
+    texts = {}
+    if defect == "entry" and (slots := _slots(doc, _NUMERIC[target])):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(_BAD_ENTRIES)
+    elif defect == "length" and (vectors := _vectors(doc, _NUMERIC[target])):
+        bent = draw(st.sampled_from(vectors))
+        bent.append("0") if draw(st.booleans()) else bent.pop()
+    elif defect == "missing" and _REQUIRED[target]:
+        del doc[draw(st.sampled_from(_REQUIRED[target]))]
+    elif defect == "asymmetric" and target == "model" and rank > 1:
+        form[1][0], form[0][1] = "1", "2"
+    elif defect == "truncated":
+        text = _json_text(doc)
+        texts[target] = text[:draw(st.integers(0, len(text) - 1))]
+    elif defect == "junk":
+        texts[target] = draw(_JUNK_TEXTS)
+    elif defect == "literal" and command == "decompose":
+        literal = draw(_JUNK_LITERALS | st.just(",".join(["1"] * (rank + 1))))
+    else:
+        defect = "none"
+    if command == "decompose":
+        argv.append(f"--class={literal}")
+    files = {f"{name}.json": texts.get(name, _json_text(d)) for name, d in docs.items()}
+    return argv, files, defect != "none"
+
+
+@pytest.fixture(scope="module")
+def robustness_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_cli_inputs())
+def test_any_input_gets_one_report_and_an_exit_code(case, robustness_dir):
+    """Whatever the files and literals hold, `main` returns and prints exactly
+    one JSON report; a malformed input ends in exit 3 with a message."""
+    argv, files, malformed = case
+    for name, text in files.items():
+        (robustness_dir / name).write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(robustness_dir / a) if a.endswith(".json") else a
+                     for a in argv])
+    report = json.loads(out.getvalue())
+    assert report["command"] == argv[0]
+    if "error" in report:
+        error = report["error"]
+        assert (error["category"], code) in {("invalid-input", 3),
+                                             ("not-pseudo-effective", 2)}
+        assert code == 2 or error["message"]
+    else:  # exit 1 is a failed `check`, exit 3 a model that `validate` refuses
+        assert code in (0, 1, 3)
+        assert (code != 0) == (report["result"].get("ok") is False)
+    if malformed:
+        assert code == 3 and report["error"]["category"] == "invalid-input"
 
 
 # -- round trips -------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Decomposition engine: frozen examples, failure modes, and invariants."""
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction as Q
 from itertools import combinations
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zariski import (
+    Decomposition,
     DimensionMismatchError,
     InternalInconsistencyError,
     InvalidModelError,
@@ -49,7 +52,6 @@ def test_rank2_single_prime_example(s1):
     assert d.support == ("E",)
     assert d.iterations == 1
     assert d.certificate.all_passed
-    assert d.negative_vector(s1) == as_vector([0, 2])
 
 
 def test_rank3_chain_example_grows_twice(s2):
@@ -107,6 +109,12 @@ def test_results_are_lean(s1):
     assert not hasattr(d.certificate, "__dict__")
 
 
+def test_support_is_read_from_the_coefficients(s1):
+    assert "support" not in {f.name for f in fields(Decomposition)}
+    d = replace(decompose(s1, [1, 2]), negative_coeffs={"E": Q(0), "F": Q(1), "G": Q(2)})
+    assert d.support == ("F", "G")
+
+
 def test_refusals_are_lean():
     model = cone_model([[1, 0], [0, -1]], {"F": [1, 1]}, [1, 0])
     with pytest.raises(NotPseudoEffectiveError) as err:
@@ -116,6 +124,21 @@ def test_refusals_are_lean():
     assert exc.detail == {"subset": ("F",)}
     assert str(exc) == "gram-not-negative-definite (subset=('F',))"
     assert exc.__dict__ == {}
+
+
+@pytest.mark.parametrize("prime, reason", [([0, 1], "positive-cone-closure"),
+                                           ([1, 1], "gram-not-negative-definite")])
+def test_refusals_survive_pickle(prime, reason):
+    model = cone_model([[1, 0], [0, -1]], {"F": prime}, [1, 0])
+    with pytest.raises(NotPseudoEffectiveError) as err:
+        decompose(model, [-1, 0])
+    exc = err.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is NotPseudoEffectiveError
+    assert back.reason == exc.reason == reason
+    assert back.detail == exc.detail != {}
+    assert str(back) == str(exc)
+    assert back.__dict__ == {}
 
 
 @pytest.mark.parametrize("prime, reason", [([0, 1], "positive-cone-closure"),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,25 @@ def test_library_reads_no_environment(path):
         and any(alias.name in ENVIRONMENT_READS for alias in node.names)
     ]
     assert reads == []
+
+
+def _layer_functions() -> dict:
+    """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "LAYER_FUNCTIONS"]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("layer, names", sorted(_layer_functions().items()))
+def test_benchmark_span_names_resolve(layer, names):
+    """The benchmark times these names by looking them up on ``zariski.<layer>``."""
+    module = importlib.import_module(f"zariski.{layer}")
+    missing = []
+    for name in names:
+        owner = module
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"zariski.{layer}.{name}")
+    assert not missing, "the benchmark times names the library lacks: " + ", ".join(missing)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -26,6 +27,7 @@ from .engine import (
     _positive_part,
     decompose,
     enumerate_exceptional_families,
+    family_cap,
     verify_certificate,
 )
 from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
@@ -71,11 +73,10 @@ def cmd_exceptional(args) -> tuple[dict, dict | None, int]:
         raise FormatError(f"--max-size must be nonnegative, got {args.max_size}")
     model = load_model(args.model).require_valid()
     families = enumerate_exceptional_families(model, args.max_size)
-    effective_cap = model.rank if args.max_size is None else min(args.max_size, model.rank)
     result = {
         "families": [list(f) for f in families],
         "count": len(families),
-        "max_size": effective_cap,
+        "max_size": family_cap(model, args.max_size),
     }
     return result, None, EXIT_OK
 
@@ -232,10 +233,13 @@ def _render_pretty(value, indent: int = 0) -> list[str]:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print("\n".join(_render_pretty(report)))
-    else:
-        print(json.dumps(report, indent=2))
+    text = "\n".join(_render_pretty(report)) if pretty else json.dumps(report, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 @cache

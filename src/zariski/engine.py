@@ -27,12 +27,12 @@ from .exact import (
     SymmetricForm,
     Vector,
     as_vector,
-    bareiss_step,
     combine,
     describe,
     gram_matrix,
     inner,
     is_negative_definite,
+    schur_complement,
     solve_symmetric,
 )
 
@@ -309,6 +309,11 @@ def is_exceptional_family(model: ConeModel, names: Sequence[str]) -> bool:
     return is_negative_definite(gram_matrix(model.form, vecs))
 
 
+def family_cap(model: ConeModel, max_size: int | None) -> int:
+    """The largest family size a walk lists: `max_size` clamped to ``[0, rank]``."""
+    return model.rank if max_size is None else max(0, min(max_size, model.rank))
+
+
 def enumerate_exceptional_families(
     model: ConeModel, max_size: int | None = None
 ) -> list[tuple[str, ...]]:
@@ -322,14 +327,16 @@ def enumerate_exceptional_families(
     exceptional families and the lists are those of ``G``.  A depth-first walk
     extends a family one prime at a time and carries the fraction-free
     (Bareiss) Schur complement of the primes that may still extend it: entry
-    ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, so adding
-    prime ``j`` keeps ``M`` positive definite iff ``S[j][j] > 0`` (Sylvester).
-    A prime whose bordered minor is not positive is dropped for the whole
-    subtree, because definiteness is inherited by principal submatrices.
-    Sizes are capped at the lattice rank; larger families cannot be
-    negative definite.
+    ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, and ``prev`` is
+    ``det M[F]``.  By Sylvester's identity, prime ``u`` may follow prime ``t``
+    iff ``(S[t][t] * S[u][u] - S[t][u]**2) / prev = det M[F + t + u] > 0``.
+    That sign test runs before any division, and the next complement is one
+    :func:`~zariski.exact.schur_complement` at ``t`` over the primes that
+    pass it.  A prime that fails is dropped for the whole subtree, because
+    definiteness is inherited by principal submatrices.  Sizes are capped at
+    the lattice rank; larger families cannot be negative definite.
     """
-    cap = model.rank if max_size is None else max(0, min(max_size, model.rank))
+    cap = family_cap(model, max_size)
     names = model.prime_names()
     m = [[-x for x in row] for row in model.compiled.gram]
     out: list[tuple[str, ...]] = [()]
@@ -342,12 +349,13 @@ def enumerate_exceptional_families(
             if len(grown) >= cap:
                 continue
             row, pivot = schur[t], schur[t][t]
+            # prev = det M[family] is 1 or a kept pivot, so positive, and the
+            # numerator has the sign of the minor
             keep = [u for u in range(t + 1, len(cands))
-                    if bareiss_step(pivot, schur[u][u], row[u], row[u], prev) > 0]
-            walk(grown, [cands[u] for u in keep],
-                 [[bareiss_step(pivot, schur[a][b], row[a], row[b], prev) for b in keep]
-                  for a in keep],
-                 pivot)
+                    if pivot * schur[u][u] > row[u] * row[u]]
+            if keep:
+                walk(grown, [cands[u] for u in keep],
+                     schur_complement(schur, t, keep, prev), pivot)
 
     if cap:
         top = [i for i in range(len(names)) if m[i][i] > 0]

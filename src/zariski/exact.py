@@ -428,20 +428,37 @@ def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricFo
     return SymmetricForm(tuple(tuple(row) for row in rows))
 
 
-def bareiss_step(pivot: int, x: int, a: int, b: int, prev: int) -> int:
-    """``(pivot * x - a * b) / prev``, exact on bordered minors (Bareiss, 1968)."""
-    out, rest = divmod(pivot * x - a * b, prev)
-    if rest:
-        raise ArithmeticError(f"Bareiss step left remainder {rest} on division by {prev}")
+def schur_complement(m: Sequence[Sequence[int]], t: int, keep: Sequence[int],
+                     prev: int) -> list[list[int]]:
+    """One fraction-free (Bareiss, 1968) step on the symmetric integer `m`.
+
+    Entry ``[i][j]`` of the result is ``(p * m[a][b] - m[a][t] * m[t][b]) / prev``
+    for ``a, b = keep[i], keep[j]`` and the pivot ``p = m[t][t]``; one triangle
+    is computed and mirrored.  On a matrix of bordered minors over the
+    previous pivot `prev` (of either sign) every division is exact; a
+    remainder raises :class:`ArithmeticError`.
+    """
+    row, p = m[t], m[t][t]
+    n = len(keep)
+    out = [[0] * n for _ in range(n)]
+    for i, a in enumerate(keep):
+        ma, ra, oi = m[a], row[a], out[i]
+        for j in range(i, n):
+            b = keep[j]
+            q, rest = divmod(p * ma[b] - ra * row[b], prev)
+            if rest:
+                raise ArithmeticError(f"Bareiss step left remainder {rest} on division by {prev}")
+            oi[j] = out[j][i] = q
     return out
 
 
 def signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_minus, n_zero)`` by exact congruence reduction.
 
-    Fraction-free steps on the integer ``form.cleared`` keep the working
-    matrix ``prev`` times the rational one, so a pivot ``p`` has the sign
-    ``sign(p) * sign(prev)``.  Only symmetric row/column operations are used.
+    Fraction-free steps (:func:`schur_complement` at the leading entry) on
+    the integer ``form.cleared`` keep the working matrix ``prev`` times the
+    rational one, so a pivot ``p`` has the sign ``sign(p) * sign(prev)``;
+    ``prev`` may be negative.  Only symmetric row/column operations are used.
     """
     m = [list(row) for row in form.cleared[0]]
     plus = minus = zero = 0
@@ -465,10 +482,7 @@ def signature(form: SymmetricForm) -> tuple[int, int, int]:
             plus += 1
         else:
             minus += 1
-        m = [
-            [bareiss_step(p, m[i][j], m[i][0], m[0][j], prev) for j in range(1, k)]
-            for i in range(1, k)
-        ]
+        m = schur_complement(m, 0, range(1, k), prev)
         prev = p
     return plus, minus, zero
 

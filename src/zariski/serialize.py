@@ -124,19 +124,28 @@ def dump_model(model: ConeModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model_to_json(model), indent=2) + "\n")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise FormatError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return out
+
+
 def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past the int-from-str digit limit
+    except ValueError as exc:  # a duplicate key, or an integer past the digit limit
         raise FormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path}: JSON nested too deeply") from exc

@@ -5,6 +5,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
@@ -208,12 +211,23 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
                      "negative_part": {"E": f"1/{SEVENS_4299}"}}).encode(),
          ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
          "too large to print"),
+        # JSON keeps the last of two equal keys, which would drop the first prime
+        (b'{"rank": 2, "form": [["1", "0"], ["0", "-1"]], "ample": ["1", "0"], '
+         b'"primes": {"E": ["0", "1"], "E": ["1", "1"]}}',
+         ["validate", "--model", "{file}"], "duplicate key 'E'"),
+        (b'[["1", "2"], {"a": "1", "a": "2"}]',
+         ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
+         "duplicate key 'a'"),
+        (json.dumps(DEC_S1).replace('"E": ', '"E": "0", "E": ', 1).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "duplicate key 'E'"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
          "exponent-literal", "huge-json-integer", "huge-cutkosky-base",
          "huge-m-decompose", "huge-m-check", "deeply-nested-json",
-         "huge-prime-pairing-message", "huge-orthogonality-message"],
+         "huge-prime-pairing-message", "huge-orthogonality-message",
+         "duplicate-prime-name", "duplicate-class-key", "duplicate-negative-part-key"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -227,6 +241,32 @@ def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     assert code == 3
     assert report["error"]["category"] == "invalid-input"
     assert fragment in report["error"]["message"]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_without_a_traceback(buffered):
+    """A reader that closed the pipe gets the command's own exit code, no traceback.
+
+    A buffered stdout fails at the flush, an unbuffered one at the write.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zariski.cli", "decompose", "--model", "data/s1.json",
+             "--class=-1,0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 2
 
 
 def test_huge_m_prints_a_unit_volume(tmp_path, capsys):

@@ -25,7 +25,7 @@ from zariski import (
     split_square,
     symmetric_form,
 )
-from zariski.exact import SQUAREFREE_BOUND, bareiss_step
+from zariski.exact import SQUAREFREE_BOUND, schur_complement
 
 # n/d with d <= 6 and |n| <= 6d: the support of st.fractions(-6, 6,
 # max_denominator=6), drawn without its flatmap; k*d // 6 takes every
@@ -432,10 +432,45 @@ def test_integer_signature_matches_the_fraction_reduction(seed, n):
         assert signature(rescaled) == _reference_signature(rescaled) == (minus, plus, zero)
 
 
-def test_bareiss_step_refuses_an_inexact_division():
-    assert bareiss_step(3, 4, 2, 1, 2) == 5
+def test_schur_complement_refuses_an_inexact_division():
+    assert schur_complement([[3, 2], [2, 4]], 0, [1], 2) == [[4]]
     with pytest.raises(ArithmeticError):
-        bareiss_step(1, 1, 1, 0, 2)
+        schur_complement([[1, 1], [1, 0]], 0, [1], 2)
+
+
+def _step_by_entry(m, t, keep, prev):
+    """The per-entry Bareiss formula over `keep`, asserting each division exact."""
+    p, out = m[t][t], []
+    for a in keep:
+        row = []
+        for b in keep:
+            x = p * m[a][b] - m[a][t] * m[t][b]
+            assert x % prev == 0
+            row.append(x // prev)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_schur_complement_matches_the_per_entry_formula(seed):
+    """Stage after stage of one matrix, each over a random kept subset and the
+    previous stage's pivot (1 at the first), so every division is exact."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = rng.randint(-9, 9)
+    prev = 1
+    while m:
+        t = rng.randrange(len(m))
+        if m[t][t] == 0:
+            break
+        keep = sorted(rng.sample(range(len(m)), rng.randint(0, len(m))))
+        out = schur_complement(m, t, keep, prev)
+        assert out == _step_by_entry(m, t, keep, prev)
+        assert out == [list(col) for col in zip(*out)]
+        prev, m = m[t][t], out
 
 
 def _random_unimodular_rows(rng: random.Random, n: int):

@@ -33,7 +33,9 @@ from .engine import (
 from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
 from .serialize import (
     FormatError,
+    Literals,
     _report_volume,
+    certificate_to_json,
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
@@ -87,8 +89,9 @@ def cmd_chambers(args) -> tuple[dict, dict | None, int]:
     if not isinstance(data, list):
         raise FormatError("class list file must hold a JSON array of classes")
     entries = []
+    literals = Literals()
     for item in data:
-        vec = vector_from_json(item, model.rank)
+        vec = vector_from_json(item, model.rank, literals)
         entry: dict = {"class": vector_to_json(vec)}
         try:
             dec = decompose(model, vec)
@@ -168,7 +171,7 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
         "ok": not violations,
     }
     code = EXIT_OK if not violations else EXIT_CHECK_FAILED
-    return result, asdict(cert), code
+    return result, certificate_to_json(cert), code
 
 
 def cmd_validate(args) -> tuple[dict, dict | None, int]:

@@ -7,9 +7,12 @@ against which decompositions are computed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -100,8 +103,8 @@ class ConeModel:
                 violations.append(
                     f"prime '{p.name}' has length {len(p.vec)}, expected {r}"
                 )
-        names = [p.name for p in self.primes]
-        for name in sorted({n for n in names if names.count(n) > 1}):
+        counts = Counter(p.name for p in self.primes)
+        for name in sorted(n for n, k in counts.items() if k > 1):
             violations.append(f"duplicate prime name '{name}'")
         if violations:
             raise InvalidModelError(violations)
@@ -128,18 +131,18 @@ class ConeModel:
         h, h_den = clear_denominators(self.h)
         cleared = [clear_denominators(p.vec) for p in self.primes]
         primes = tuple(vec for vec, _ in cleared)
-        images = tuple(tuple(dot(row, vec) for row in form) for vec in primes)
-        # the form is symmetric, so one triangle of the Gram is mirrored
-        n = len(primes)
-        gram = [[0] * n for _ in range(n)]
-        for i, u in enumerate(primes):
-            for j in range(i, n):
-                gram[i][j] = gram[j][i] = dot(u, images[j])
+        dens = tuple(den for _, den in cleared)
+        images = tuple(tuple(sum(map(mul, row, vec)) for row in form) for vec in primes)
+        # the form is symmetric: the lower triangle, lower[j][i] = primes[i] · images[j]
+        # for i <= j, gives row i up to the diagonal and, as column i, the rest of it
+        lower = [tuple([sum(map(mul, u, image)) for u in primes[:j + 1]])
+                 for j, image in enumerate(images)]
+        columns = zip_longest(*lower)  # column i starts with i fill values
+        gram = tuple(row + column[i + 1:]
+                     for i, (row, column) in enumerate(zip(lower, columns)))
         return CompiledModel(
-            scale=scale, form=form, h=h, h_den=h_den, primes=primes,
-            dens=tuple(den for _, den in cleared),
-            qh=tuple(dot(row, h) for row in form), images=images,
-            gram=tuple(map(tuple, gram)),
+            scale=scale, form=form, h=h, h_den=h_den, primes=primes, dens=dens,
+            qh=tuple(sum(map(mul, row, h)) for row in form), images=images, gram=gram,
         )
 
     # -- validation -----------------------------------------------------

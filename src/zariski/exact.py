@@ -333,6 +333,8 @@ def clear_denominators(vec: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """``(ints, den)`` with ``ints == den * vec``; ``den`` is the least positive one."""
     vec = tuple(vec)
     den = lcm(*(x.denominator for x in vec))
+    if den == 1:
+        return tuple(x.numerator for x in vec), 1
     return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 

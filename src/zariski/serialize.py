@@ -8,16 +8,16 @@ they never feed back into any computation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from typing import Any, Sequence
 
 from .bundle import BaseSurface
-from .cone import ConeModel, cone_model
-from .engine import Decomposition, _volume
-from .exact import QuadExt, Scalar, Vector
+from .cone import ConeModel, PrimeClass
+from .engine import Certificate, Decomposition, _volume
+from .exact import QuadExt, Scalar, SymmetricForm, Vector
 
 
 class FormatError(ValueError):
@@ -68,10 +68,30 @@ def vector_to_json(vec: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in vec]
 
 
-def vector_from_json(data: Any, rank: int | None = None) -> Vector:
+class Literals(dict):
+    """The rationals of one document by literal string, each parsed when first met.
+
+    Equal strings then share one immutable Fraction.  Make one per document:
+    it is not a cache across documents.  A literal that fails to parse is
+    not stored, so it raises again with the same message.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+    def parse(self, value: Any) -> Fraction:
+        """``parse_rational(value)``, looked up here when it is a string."""
+        return self[value] if type(value) is str else parse_rational(value)
+
+
+def vector_from_json(data: Any, rank: int | None = None,
+                     literals: Literals | None = None) -> Vector:
     if not isinstance(data, list):
         raise FormatError(f"expected a list of rationals, got {type(data).__name__}")
-    vec = tuple(parse_rational(x) for x in data)
+    if literals is None:
+        literals = Literals()
+    vec = tuple(map(literals.parse, data))
     if rank is not None and len(vec) != rank:
         raise FormatError(f"expected a vector of length {rank}, got {len(vec)}")
     return vec
@@ -104,14 +124,16 @@ def model_from_json(data: Any) -> ConeModel:
     form_rows = data["form"]
     if not isinstance(form_rows, list) or len(form_rows) != rank:
         raise FormatError(f"form must be a {rank}x{rank} matrix")
-    rows = [vector_from_json(row, rank) for row in form_rows]
+    literals = Literals()
+    rows = tuple(vector_from_json(row, rank, literals) for row in form_rows)
     primes = data["primes"]
     if not isinstance(primes, dict):
         raise FormatError("primes must be an object mapping names to vectors")
-    prime_items = [(name, vector_from_json(vec)) for name, vec in primes.items()]
-    ample = vector_from_json(data["ample"])
-    try:
-        return cone_model(rows, prime_items, ample, data.get("m", 1))
+    prime_classes = tuple(PrimeClass(name, vector_from_json(vec, literals=literals))
+                          for name, vec in primes.items())
+    ample = vector_from_json(data["ample"], literals=literals)
+    try:  # the vectors hold Fractions already, so they are not coerced again
+        return ConeModel(SymmetricForm(rows), prime_classes, ample, data.get("m", 1))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -133,13 +155,22 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return out
 
 
+# One decoder serves every document, as json's own default decoder does: decoding
+# keeps no state between calls.  json.loads would build a new one per call, for the hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # the check json.loads makes before decoding
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -176,9 +207,14 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
         },
         "support": list(dec.support),
         "volume": format_rational(_report_volume(model, dec.positive_part)),
-        "certificate": asdict(dec.certificate),
+        "certificate": certificate_to_json(dec.certificate),
         "iterations": dec.iterations,
     }
+
+
+def certificate_to_json(cert: Certificate) -> dict[str, bool]:
+    """The certificate's checks by name, in declaration order."""
+    return {f.name: getattr(cert, f.name) for f in fields(cert)}
 
 
 @dataclass(frozen=True)
@@ -213,12 +249,13 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
     iterations = data.get("iterations", 0)
     if isinstance(iterations, bool) or not isinstance(iterations, int):
         raise FormatError(f"iterations must be an integer, got {iterations!r}")
+    literals = Literals()
     return DecompositionDocument(
-        alpha=vector_from_json(data["alpha"]),
-        positive_part=vector_from_json(data["positive_part"]),
-        negative_coeffs={n: parse_rational(c) for n, c in negative.items()},
+        alpha=vector_from_json(data["alpha"], literals=literals),
+        positive_part=vector_from_json(data["positive_part"], literals=literals),
+        negative_coeffs={n: literals.parse(c) for n, c in negative.items()},
         support=tuple(support),
-        volume=parse_rational(data["volume"]),
+        volume=literals.parse(data["volume"]),
         certificate={k: bool(v) for k, v in certificate.items()},
         iterations=iterations,
     )

@@ -221,13 +221,16 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
         (json.dumps(DEC_S1).replace('"E": ', '"E": "0", "E": ', 1).encode(),
          ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
          "duplicate key 'E'"),
+        (b"\xef\xbb\xbf" + (TESTS_DIR / "data" / "s1.json").read_bytes(),
+         ["decompose", "--model", "{file}", "--class=1,2"], "Unexpected UTF-8 BOM"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
          "exponent-literal", "huge-json-integer", "huge-cutkosky-base",
          "huge-m-decompose", "huge-m-check", "deeply-nested-json",
          "huge-prime-pairing-message", "huge-orthogonality-message",
-         "duplicate-prime-name", "duplicate-class-key", "duplicate-negative-part-key"],
+         "duplicate-prime-name", "duplicate-class-key", "duplicate-negative-part-key",
+         "utf8-bom"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -553,21 +556,47 @@ def test_parse_rational_agrees_with_the_reference(value):
 
 
 def test_load_model_coerces_each_entry_once(monkeypatch):
-    produced = []
+    """Each distinct literal of a document is parsed once, each loaded entry is
+    one of those Fractions, and the next load of the same file parses again."""
+    produced: dict[str, list[Fraction]] = {}
 
     def spy(value):
-        produced.append(parse_rational(value))
-        return produced[-1]
+        produced.setdefault(value, []).append(parse_rational(value))
+        return produced[value][-1]
 
     monkeypatch.setattr(serialize, "parse_rational", spy)
-    doc = json.loads((TESTS_DIR / "data" / "s1.json").read_text())
-    model = load_model(TESTS_DIR / "data" / "s1.json")
-    entries = [*doc["form"], *doc["primes"].values(), doc["ample"]]
-    assert len(produced) == sum(len(vec) for vec in entries)
-    loaded = [x for vec in (*model.form.entries, *(p.vec for p in model.primes), model.h)
-              for x in vec]
-    assert len(loaded) == len(produced)
-    assert all(x is y for x, y in zip(loaded, produced))
+    path = TESTS_DIR / "data" / "ten_primes.json"
+    doc = json.loads(path.read_text())
+    texts = [x for vec in (*doc["form"], *doc["primes"].values(), doc["ample"]) for x in vec]
+    assert len(set(texts)) < len(texts)
+    first = None
+    for _ in range(2):
+        produced.clear()
+        model = load_model(path)
+        assert sorted(produced) == sorted(set(texts))
+        assert all(len(made) == 1 for made in produced.values())
+        loaded = [x for vec in (*model.form.entries, *(p.vec for p in model.primes), model.h)
+                  for x in vec]
+        assert len(loaded) == len(texts)
+        assert all(x is produced[text][0] for x, text in zip(loaded, texts))
+        if first is not None:
+            assert all(x is not y for x, y in zip(loaded, first))
+        first = loaded
+
+
+def test_each_command_reads_the_model_file_as_it_stands(tmp_path, capsys):
+    """A file rewritten between two commands in one process gives the new answer."""
+    path = tmp_path / "model.json"
+    text = (TESTS_DIR / "data" / "s1.json").read_text()
+    argv = ["decompose", "--model", str(path), "--class=1,2"]
+    volumes = []
+    # diag(1, -1), then diag(2, -1): same size, same path, q(Z, Z) goes 1 -> 2
+    for form in ('[["1", "0"], ["0", "-1"]]', '[["2", "0"], ["0", "-1"]]'):
+        path.write_text(text.replace('[["1", "0"], ["0", "-1"]]', form))
+        code, report = run_cli(argv, capsys)
+        assert code == 0
+        volumes.append(report["result"]["volume"])
+    assert volumes == ["1", "2"]
 
 
 def test_base_literal_parsing():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction as Q
 
@@ -16,6 +17,7 @@ from zariski import (
     del_pezzo,
     enumerate_exceptional_families,
 )
+from zariski.cone import CompiledModel, PrimeClass
 from zariski.exact import dot, vec_add, vec_scale
 
 
@@ -127,6 +129,52 @@ def test_compiled_view_matches_exact_pairings(model):
     for i, p in enumerate(model.primes):
         for j, p2 in enumerate(model.primes):
             assert Q(c.gram[i][j], s * c.dens[i] * c.dens[j]) == model.q(p.vec, p2.vec)
+
+
+def _cleared(vec) -> tuple[tuple[int, ...], int]:
+    den = math.lcm(*(Q(x).denominator for x in vec))
+    return tuple(int(x * den) for x in vec), den
+
+
+def _compiled_by_entry(model) -> CompiledModel:
+    """The integer view with one ``dot`` per image entry and per Gram entry."""
+    r = model.rank
+    flat, scale = _cleared([x for row in model.form.entries for x in row])
+    form = tuple(flat[i * r:(i + 1) * r] for i in range(r))
+    h, h_den = _cleared(model.h)
+    cleared = [_cleared(p.vec) for p in model.primes]
+    primes = tuple(vec for vec, _ in cleared)
+    images = tuple(tuple(dot(row, vec) for row in form) for vec in primes)
+    return CompiledModel(
+        scale=scale, form=form, h=h, h_den=h_den, primes=primes,
+        dens=tuple(den for _, den in cleared), qh=tuple(dot(row, h) for row in form),
+        images=images, gram=tuple(tuple(dot(u, image) for image in images) for u in primes),
+    )
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_compiled_view_matches_one_dot_per_entry_on_del_pezzo(r):
+    model = del_pezzo(r)
+    assert model.compiled == _compiled_by_entry(model)
+
+
+def test_compiled_view_matches_one_dot_per_entry_on_the_grid(pool):
+    for spec, model, _ in pool:
+        assert model.compiled == _compiled_by_entry(model), spec
+
+
+def test_duplicate_names_are_each_reported_once_in_sorted_order():
+    primes = list(del_pezzo(8).primes)
+    assert len(primes) == 240
+    primes[239] = PrimeClass("e2", primes[239].vec)  # e2 twice
+    primes[100] = PrimeClass("e1", primes[100].vec)  # e1 three times
+    primes[150] = PrimeClass("e1", primes[150].vec)
+    with pytest.raises(InvalidModelError) as err:
+        cone_model(del_pezzo(8).form, [(p.name, p.vec) for p in primes], [3] + [-1] * 8)
+    assert err.value.violations == (
+        "duplicate prime name 'e1'",
+        "duplicate prime name 'e2'",
+    )
 
 
 # sha256 of the reports and family lists below, frozen when both were

@@ -13,7 +13,15 @@ command on a fresh load, as ``cli.main`` does:
 
 and, apart from them, the whole command through ``cli.main`` with stdout
 captured.  The class is ``2h + e1 + e2``.  Times are medians of
-``time.process_time_ns`` in milliseconds.  Stdlib only.
+``time.process_time_ns`` in milliseconds.
+
+The cold columns are the same command as a fresh ``python -m zariski.cli``
+process (``cold``) and a bare ``python -c pass`` (``python``), each the
+median user and system CPU time of 15 children in milliseconds.  Under the
+table, each rank's ``python -X importtime`` child lists the ``zariski``
+modules that command loads, with their own import time in milliseconds
+(the median of 3 children); ``zariski.cli`` itself runs as ``__main__`` and
+is not imported, so it is not listed.  Stdlib only.
 
 Usage:
     PYTHONPATH=src python3 scripts/command_phases.py
@@ -25,6 +33,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from statistics import median
@@ -42,6 +54,9 @@ from zariski.serialize import (
 )
 
 PHASES = ("argv", "load_model", "validate", "decompose", "render")
+COLD = ("cold", "python")
+COLD_STARTS = 15
+IMPORT_RUNS = 3
 
 
 def phases_once(argv: list[str]) -> dict[str, int]:
@@ -80,7 +95,45 @@ def command_once(argv: list[str]) -> int:
     return elapsed
 
 
-def measure(r: int, workdir: Path, repeat: int) -> dict[str, float]:
+def child(args: list[str]) -> tuple[subprocess.CompletedProcess, int]:
+    """``python args`` run to the end, and the user and system CPU time it used in ns."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    used = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc, round(used * 1e9)
+
+
+def cold_starts(argv: list[str]) -> dict[str, float]:
+    """Median child CPU time of the command in a fresh process and of a bare Python."""
+    commands, bare = [], []
+    for _ in range(COLD_STARTS):
+        proc, used = child(["-m", "zariski.cli", *argv])
+        if proc.returncode != 0:
+            raise SystemExit(f"cold command {argv} exited {proc.returncode}")
+        commands.append(used)
+        bare.append(child(["-c", "pass"])[1])
+    return {"cold": median(commands) / 1e6, "python": median(bare) / 1e6}
+
+
+def cold_imports(argv: list[str]) -> dict[str, float]:
+    """The ``zariski`` modules a fresh command loads, each with its median own
+    import time in ms (``-X importtime``'s self column)."""
+    runs: dict[str, list[int]] = {}
+    for _ in range(IMPORT_RUNS):
+        proc, _ = child(["-X", "importtime", "-m", "zariski.cli", *argv])
+        for line in proc.stderr.splitlines():
+            if line.startswith("import time:") and "zariski" in line:
+                own, _, name = (cell.strip() for cell in line[12:].split("|"))
+                runs.setdefault(name, []).append(int(own))
+    return {name: median(times) / 1e3 for name, times in runs.items()}
+
+
+def measure(r: int, workdir: Path, repeat: int) -> dict:
     model = del_pezzo(r)
     path = workdir / f"del_pezzo_{r}.json"
     dump_model(model, path)
@@ -95,7 +148,8 @@ def measure(r: int, workdir: Path, repeat: int) -> dict[str, float]:
     commands = [command_once(argv) for _ in range(repeat)]
     row = {name: median(t[name] for t in runs) / 1e6 for name in PHASES}
     row["command"] = median(commands) / 1e6
-    return {"r": r, "primes": len(model.primes), **row}
+    row.update(cold_starts(argv))
+    return {"r": r, "primes": len(model.primes), **row, "imports": cold_imports(argv)}
 
 
 def main() -> int:
@@ -103,14 +157,19 @@ def main() -> int:
     parser.add_argument("--ranks", type=int, nargs="+", default=[4, 5, 6, 7, 8])
     parser.add_argument("--repeat", type=int, default=200)
     args = parser.parse_args()
-    columns = ("r", "primes", *PHASES, "command")
+    columns = ("r", "primes", *PHASES, "command", *COLD)
     print("  ".join(f"{c:>10}" for c in columns), "  command/decompose")
+    imports = {}
     with tempfile.TemporaryDirectory(prefix="command-phases-") as tmp:
         for r in args.ranks:
             row = measure(r, Path(tmp), args.repeat)
             cells = [f"{row['r']:>10}", f"{row['primes']:>10}",
-                     *(f"{row[c]:>10.3f}" for c in (*PHASES, "command"))]
+                     *(f"{row[c]:>10.3f}" for c in (*PHASES, "command", *COLD))]
             print("  ".join(cells), f"  {row['command'] / row['decompose']:>17.1f}")
+            imports[r] = row["imports"]
+    print("\nzariski modules a cold decompose loads, own import ms:")
+    for r, modules in imports.items():
+        print(f"  r = {r}: " + ", ".join(f"{name} {ms:.2f}" for name, ms in modules.items()))
     return 0
 
 

@@ -5,143 +5,46 @@ The package computes, certifies, and serializes decompositions
 of prime classes, entirely in exact arithmetic, together with the
 exceptional-family combinatorics, volumes, and a projective-bundle
 construction whose tautological class has irrational volume.
+
+Each public name is imported from its submodule on first use, so a
+process loads only the submodules it touches.
 """
-from .bundle import (
-    BaseSurface,
-    BundleClass,
-    IrrationalClassError,
-    decompose_bundle,
-    intersect3,
-    is_rational,
-    mu_candidates,
-    mu_L,
-    volume_L,
-)
-from .cone import (
-    ConeModel,
-    InvalidModelError,
-    PrimeClass,
-    ValidationReport,
-    cone_model,
-)
-from .engine import (
-    Certificate,
-    Decomposition,
-    InternalInconsistencyError,
-    NotPseudoEffectiveError,
-    OracleUniquenessError,
-    UnknownPrimeError,
-    brute_force_decompose,
-    chamber_of,
-    decompose,
-    enumerate_exceptional_families,
-    is_big,
-    is_exceptional_family,
-    negative_part,
-    verify_certificate,
-    volume,
-    zariski_projection,
-)
-from .exact import (
-    CanonicalizationWarning,
-    DegeneratePolynomialError,
-    DimensionMismatchError,
-    MixedRadicandError,
-    QuadExt,
-    SymmetricForm,
-    Vector,
-    as_vector,
-    gram_matrix,
-    inner,
-    is_negative_definite,
-    quadratic_roots,
-    signature,
-    solve_symmetric,
-    split_square,
-    symmetric_form,
-)
-from .fixtures import (
-    FixtureSpec,
-    GenerationExhaustedError,
-    del_pezzo,
-    gen_model,
-    gen_pseudoeffective_class,
-    spec_grid,
-)
-from .serialize import (
-    DecompositionDocument,
-    FormatError,
-    decimal_approx,
-    decomposition_from_json,
-    decomposition_to_json,
-    dump_model,
-    load_model,
-    model_from_json,
-    model_to_json,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseSurface",
-    "BundleClass",
-    "CanonicalizationWarning",
-    "Certificate",
-    "ConeModel",
-    "Decomposition",
-    "DecompositionDocument",
-    "DegeneratePolynomialError",
-    "DimensionMismatchError",
-    "FixtureSpec",
-    "FormatError",
-    "GenerationExhaustedError",
-    "InternalInconsistencyError",
-    "InvalidModelError",
-    "IrrationalClassError",
-    "MixedRadicandError",
-    "NotPseudoEffectiveError",
-    "OracleUniquenessError",
-    "PrimeClass",
-    "QuadExt",
-    "SymmetricForm",
-    "UnknownPrimeError",
-    "ValidationReport",
-    "Vector",
-    "as_vector",
-    "brute_force_decompose",
-    "chamber_of",
-    "cone_model",
-    "decimal_approx",
-    "decompose",
-    "decompose_bundle",
-    "decomposition_from_json",
-    "decomposition_to_json",
-    "del_pezzo",
-    "dump_model",
-    "enumerate_exceptional_families",
-    "gen_model",
-    "gen_pseudoeffective_class",
-    "gram_matrix",
-    "inner",
-    "intersect3",
-    "is_big",
-    "is_exceptional_family",
-    "is_negative_definite",
-    "is_rational",
-    "load_model",
-    "model_from_json",
-    "model_to_json",
-    "mu_L",
-    "mu_candidates",
-    "negative_part",
-    "quadratic_roots",
-    "signature",
-    "solve_symmetric",
-    "spec_grid",
-    "split_square",
-    "symmetric_form",
-    "verify_certificate",
-    "volume",
-    "volume_L",
-    "zariski_projection",
-]
+_EXPORTS = {
+    "bundle": """BaseSurface BundleClass IrrationalClassError decompose_bundle
+        intersect3 is_rational mu_candidates mu_L volume_L""",
+    "cone": "ConeModel InvalidModelError PrimeClass ValidationReport cone_model",
+    "engine": """Certificate Decomposition InternalInconsistencyError
+        NotPseudoEffectiveError OracleUniquenessError UnknownPrimeError
+        brute_force_decompose chamber_of decompose enumerate_exceptional_families
+        is_big is_exceptional_family negative_part verify_certificate volume
+        zariski_projection""",
+    "exact": """CanonicalizationWarning DegeneratePolynomialError
+        DimensionMismatchError MixedRadicandError QuadExt SymmetricForm Vector
+        as_vector gram_matrix inner is_negative_definite quadratic_roots
+        signature solve_symmetric split_square symmetric_form""",
+    "fixtures": """FixtureSpec GenerationExhaustedError del_pezzo gen_model
+        gen_pseudoeffective_class spec_grid""",
+    "serialize": """DecompositionDocument FormatError decimal_approx
+        decomposition_from_json decomposition_to_json dump_model load_model
+        model_from_json model_to_json""",
+}
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule on first use and keep the name here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

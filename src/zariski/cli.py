@@ -20,7 +20,6 @@ from functools import cache
 from pathlib import Path
 from time import perf_counter
 
-from . import bundle
 from .cone import InvalidModelError
 from .engine import (
     NotPseudoEffectiveError,
@@ -30,7 +29,6 @@ from .engine import (
     family_cap,
     verify_certificate,
 )
-from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
 from .serialize import (
     FormatError,
     Literals,
@@ -106,6 +104,8 @@ def cmd_chambers(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
+    from . import bundle  # the only command that uses it; the others never load it
+
     base = parse_base_literal(args.base)
     roots = bundle.mu_candidates(base)
     z, mu = bundle.decompose_bundle(base, bundle.L)
@@ -185,8 +185,13 @@ def cmd_validate(args) -> tuple[dict, dict | None, int]:
 
 
 def cmd_fixtures(args) -> tuple[dict, dict | None, int]:
+    from .fixtures import GenerationExhaustedError, gen_model, parse_spec_literal
+
     spec = parse_spec_literal(args.spec)
-    model = gen_model(spec)
+    try:
+        model = gen_model(spec)
+    except GenerationExhaustedError as exc:
+        raise FormatError(str(exc)) from exc
     document = model_to_json(model)
     result = {
         "spec": asdict(spec),
@@ -330,7 +335,6 @@ def main(argv=None) -> int:
     except (
         FormatError,
         InvalidModelError,
-        GenerationExhaustedError,
         FileNotFoundError,
         IsADirectoryError,
         PermissionError,

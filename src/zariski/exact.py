@@ -316,15 +316,6 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(Fraction(x) for x in coords)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def zero_vector(rank: int) -> Vector:
     return (Fraction(0),) * rank
 

@@ -14,7 +14,6 @@ from math import isqrt
 from pathlib import Path
 from typing import Any, Sequence
 
-from .bundle import BaseSurface
 from .cone import ConeModel, PrimeClass
 from .engine import Certificate, Decomposition, _volume
 from .exact import QuadExt, Scalar, SymmetricForm, Vector
@@ -281,6 +280,8 @@ def parse_class_literal(text: str, rank: int | None = None) -> Vector:
 
 def parse_base_literal(text: str) -> BaseSurface:
     """Parse ``"D^2,D.H,H^2"`` pairing data like ``"1,2,1"``."""
+    from .bundle import BaseSurface  # here, so that loading serialize leaves bundle unloaded
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise FormatError(

@@ -1,6 +1,8 @@
-"""Shared fixtures: canonical small models and the deterministic random pool."""
+"""Shared fixtures: canonical small models, the deterministic random pool, and
+the reference vector sum and scaling the tests build classes with."""
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,15 @@ def affine_a2() -> ConeModel:
         [("c1", [0, 0, 1, 0]), ("c2", [0, 0, 0, 1]), ("c3", [1, 0, -1, -1])],
         [1, 1, 0, 0],
     )
+
+
+def vec_add(u, v) -> tuple:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, u) -> tuple:
+    c = Fraction(c)
+    return tuple(c * a for a in u)
 
 
 def grid_specs(count: int = 200) -> list[FixtureSpec]:

@@ -32,7 +32,9 @@ from zariski import (
 )
 from zariski.bundle import L
 from zariski.cli import main
-from zariski.exact import as_vector, gram_matrix, is_negative_definite, vec_add, vec_scale, zero_vector
+from zariski.exact import as_vector, gram_matrix, is_negative_definite, zero_vector
+
+from conftest import vec_add, vec_scale
 
 TESTS_DIR = Path(__file__).parent
 

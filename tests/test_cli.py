@@ -388,7 +388,7 @@ def _cli_inputs(draw):
     doc = docs[target]
     defect = draw(st.sampled_from(
         ["none", "entry", "length", "missing", "asymmetric", "truncated", "junk",
-         "literal"]))
+         "literal", "duplicate-key", "bom"]))
     texts = {}
     if defect == "entry" and (slots := _slots(doc, _NUMERIC[target])):
         container, key = draw(st.sampled_from(slots))
@@ -407,6 +407,11 @@ def _cli_inputs(draw):
         texts[target] = draw(_JUNK_TEXTS)
     elif defect == "literal" and command == "decompose":
         literal = draw(_JUNK_LITERALS | st.just(",".join(["1"] * (rank + 1))))
+    elif defect == "duplicate-key" and isinstance(doc, dict):
+        key = draw(st.sampled_from(sorted(doc)))
+        texts[target] = "{" + _json_text({key: doc[key]})[1:-1] + ", " + _json_text(doc)[1:]
+    elif defect == "bom":
+        texts[target] = "\ufeff" + _json_text(doc)
     else:
         defect = "none"
     if command == "decompose":
@@ -427,7 +432,7 @@ def test_any_input_gets_one_report_and_an_exit_code(case, robustness_dir):
     one JSON report; a malformed input ends in exit 3 with a message."""
     argv, files, malformed = case
     for name, text in files.items():
-        (robustness_dir / name).write_text(text)
+        (robustness_dir / name).write_text(text, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([str(robustness_dir / a) if a.endswith(".json") else a

@@ -18,7 +18,9 @@ from zariski import (
     enumerate_exceptional_families,
 )
 from zariski.cone import CompiledModel, PrimeClass
-from zariski.exact import dot, vec_add, vec_scale
+from zariski.exact import dot
+
+from conftest import vec_add, vec_scale
 
 
 def test_s1_is_valid_with_boundary_warning(s1):

@@ -36,7 +36,9 @@ from zariski import (
     zariski_projection,
 )
 from zariski import engine
-from zariski.exact import as_vector, gram_matrix, solve_symmetric, vec_add, vec_scale
+from zariski.exact import as_vector, gram_matrix, solve_symmetric
+
+from conftest import vec_add, vec_scale
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,17 +1,21 @@
-"""Every module uses each name it imports; the library reads no environment."""
+"""Every module uses each name it imports; the library reads no environment;
+the package loads a submodule only when one of its names is used."""
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zariski
+
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for d in ("src/zariski", "scripts", "tests") for p in (ROOT / d).glob("*.py")
-    if p.name != "__init__.py"
-)
+MODULES = sorted(p for d in ("src/zariski", "scripts", "tests") for p in (ROOT / d).glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -67,3 +71,95 @@ def test_benchmark_span_names_resolve(layer, names):
         if owner is None:
             missing.append(f"zariski.{layer}.{name}")
     assert not missing, "the benchmark times names the library lacks: " + ", ".join(missing)
+
+
+# -- the lazy package ------------------------------------------------------------
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` in a new interpreter that imports this checkout's ``src``, run
+    from ``tests`` so that the data paths are relative."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT / "tests", env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_COMMANDS_THEN_MODULES = """
+import contextlib, io, json, sys
+import zariski
+loaded = [sorted(m for m in sys.modules if m.startswith("zariski"))]
+from zariski.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded.append(sorted(m for m in sys.modules if m.startswith("zariski")))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_model_commands_load_neither_bundle_nor_fixtures(tmp_path):
+    classes = tmp_path / "classes.json"
+    classes.write_text('[["1", "2"], ["-1", "0"], ["2", "1"]]')
+    commands = [
+        ["decompose", "--model", "data/s1.json", "--class=1,2"],
+        ["check", "--model", "data/s1.json", "--decomposition", "data/dec_s1.json"],
+        ["chambers", "--model", "data/s1.json", "--classes", str(classes)],
+        ["validate", "--model", "data/s1.json"],
+        ["exceptional", "--model", "data/s1.json"],
+    ]
+    proc = run_fresh(_COMMANDS_THEN_MODULES, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0] * len(commands)
+    after_package, after_commands = out["loaded"]
+    assert after_package == ["zariski"]
+    assert "zariski.cli" in after_commands
+    assert {"zariski.bundle", "zariski.fixtures"}.isdisjoint(after_commands)
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["cutkosky", "--base", "1,2,1"], 0, "cutkosky_121"),
+    (["fixtures", "--spec", "3,2,42"], 0, "fixtures_3_2_42"),
+    (["fixtures", "--spec", "2,6,1"], 3, "spec too tight"),
+], ids=["cutkosky", "fixtures", "fixtures-too-tight"])
+def test_bundle_and_fixtures_commands_from_a_fresh_process(argv, code, expected):
+    proc = run_fresh("from zariski.cli import entry; entry()", *argv)
+    assert proc.returncode == code, proc.stderr
+    report = json.loads(proc.stdout)
+    report.pop("timing_ms")
+    if code == 0:
+        golden = json.loads((ROOT / "tests/golden" / f"{expected}.json").read_text())
+        assert golden["argv"] == argv
+        assert report == golden["report"]
+    else:
+        assert report["error"]["category"] == "invalid-input"
+        assert expected in report["error"]["message"]
+
+
+def test_each_public_name_is_its_home_modules_object():
+    """The benchmark's tracer wraps every binding that is the original object."""
+    assert set(zariski._HOME.values()) == {"bundle", "cone", "engine", "exact", "fixtures",
+                                            "serialize"}
+    strangers = [
+        name for name in zariski.__all__
+        if getattr(zariski, name) is not getattr(
+            importlib.import_module(f"zariski.{zariski._HOME[name]}"), name)
+        or vars(zariski)[name] is not getattr(zariski, name)  # kept after the first lookup
+    ]
+    assert strangers == []
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    namespace: dict = {}
+    exec("from zariski import *", namespace)
+    assert len(zariski.__all__) == 61
+    assert set(zariski.__all__) <= set(namespace)
+    assert set(zariski.__all__) <= set(dir(zariski))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zariski.no_such_name
+    assert not hasattr(zariski, "no_such_name")

@@ -13,7 +13,9 @@ from fractions import Fraction as Q
 import pytest
 
 from zariski import NotPseudoEffectiveError, decompose, del_pezzo
-from zariski.exact import as_vector, combine, vec_add, vec_scale
+from zariski.exact import as_vector, combine
+
+from conftest import vec_add, vec_scale
 
 
 def effective_class(model, rng):

@@ -330,11 +330,18 @@ def enumerate_exceptional_families(
     ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, and ``prev`` is
     ``det M[F]``.  By Sylvester's identity, prime ``u`` may follow prime ``t``
     iff ``(S[t][t] * S[u][u] - S[t][u]**2) / prev = det M[F + t + u] > 0``.
-    That sign test runs before any division, and the next complement is one
+    That sign test runs before any division; its numerators are the next
+    complement's diagonal times ``prev``, so the next complement is one
     :func:`~zariski.exact.schur_complement` at ``t`` over the primes that
-    pass it.  A prime that fails is dropped for the whole subtree, because
-    definiteness is inherited by principal submatrices.  Sizes are capped at
-    the lattice rank; larger families cannot be negative definite.
+    pass it, handed those numerators.  A prime that fails is dropped for the
+    whole subtree, because definiteness is inherited by principal
+    submatrices.  Sizes are capped at the lattice rank; larger families
+    cannot be negative definite.
+
+    Only complements that a later test reads are built.  The last candidate
+    has nothing after it to test.  When one prime passes, or the grown family
+    is one short of the cap, each passing prime closes a family with no
+    subtree, so those families are listed directly, with no complement.
     """
     cap = family_cap(model, max_size)
     names = model.prime_names()
@@ -343,19 +350,26 @@ def enumerate_exceptional_families(
 
     def walk(family: tuple[str, ...], cands: list[int], schur: list[list[int]],
              prev: int) -> None:
+        last = len(cands) - 1
         for t, j in enumerate(cands):
             grown = family + (names[j],)
             out.append(grown)
-            if len(grown) >= cap:
+            if t == last or len(grown) >= cap:
                 continue
             row, pivot = schur[t], schur[t][t]
             # prev = det M[family] is 1 or a kept pivot, so positive, and the
             # numerator has the sign of the minor
-            keep = [u for u in range(t + 1, len(cands))
-                    if pivot * schur[u][u] > row[u] * row[u]]
-            if keep:
+            keep, diag = [], []
+            for u in range(t + 1, last + 1):
+                d = pivot * schur[u][u] - row[u] * row[u]
+                if d > 0:
+                    keep.append(u)
+                    diag.append(d)
+            if len(keep) == 1 or len(grown) + 1 == cap:
+                out.extend(grown + (names[cands[u]],) for u in keep)
+            elif keep:
                 walk(grown, [cands[u] for u in keep],
-                     schur_complement(schur, t, keep, prev), pivot)
+                     schur_complement(schur, t, keep, prev, diag), pivot)
 
     if cap:
         top = [i for i in range(len(names)) if m[i][i] > 0]

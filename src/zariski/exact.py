@@ -422,21 +422,33 @@ def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricFo
 
 
 def schur_complement(m: Sequence[Sequence[int]], t: int, keep: Sequence[int],
-                     prev: int) -> list[list[int]]:
+                     prev: int, diag: Sequence[int] | None = None) -> list[list[int]]:
     """One fraction-free (Bareiss, 1968) step on the symmetric integer `m`.
 
     Entry ``[i][j]`` of the result is ``(p * m[a][b] - m[a][t] * m[t][b]) / prev``
     for ``a, b = keep[i], keep[j]`` and the pivot ``p = m[t][t]``; one triangle
-    is computed and mirrored.  On a matrix of bordered minors over the
-    previous pivot `prev` (of either sign) every division is exact; a
-    remainder raises :class:`ArithmeticError`.
+    is computed and mirrored.  A caller that already holds the diagonal
+    numerators ``p * m[a][a] - m[a][t]**2`` passes them as `diag`, one per
+    kept index, and only the off-diagonal numerators are formed here.  On a
+    matrix of bordered minors over the previous pivot `prev` (of either sign)
+    every division is exact; a remainder, supplied diagonal included, raises
+    :class:`ArithmeticError`.
     """
     row, p = m[t], m[t][t]
     n = len(keep)
     out = [[0] * n for _ in range(n)]
+    if diag is None:
+        first = 0
+    else:
+        first = 1
+        for i, d in enumerate(diag):
+            q, rest = divmod(d, prev)
+            if rest:
+                raise ArithmeticError(f"Bareiss step left remainder {rest} on division by {prev}")
+            out[i][i] = q
     for i, a in enumerate(keep):
         ma, ra, oi = m[a], row[a], out[i]
-        for j in range(i, n):
+        for j in range(i + first, n):
             b = keep[j]
             q, rest = divmod(p * ma[b] - ra * row[b], prev)
             if rest:

@@ -1,5 +1,6 @@
-"""Shared fixtures: canonical small models, the deterministic random pool, and
-the reference vector sum and scaling the tests build classes with."""
+"""Shared fixtures: canonical small models, the deterministic random pool, the
+reference vector sum and scaling the tests build classes with, and the
+reference list of del Pezzo exceptional families."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -90,3 +91,25 @@ def pool_decompositions(pool):
         for _, model, classes in pool
         for alpha in classes
     ]
+
+
+def orthogonal_sets(model) -> list[tuple[str, ...]]:
+    """Sets of pairwise-orthogonal (-1)-classes, depth-first in prime order.
+
+    Such a set has Gram matrix -I, and two (-1)-classes with E.F >= 1 have
+    a 2x2 Gram that is not negative definite, so on a del Pezzo lattice
+    these are exactly the exceptional families.
+    """
+    vecs = [p.vec for p in model.primes]
+    names = model.prime_names()
+    orthogonal = [[model.q(u, v) == 0 for v in vecs] for u in vecs]
+    out = [()]
+
+    def extend(family, allowed):
+        for k, j in enumerate(allowed):
+            grown = family + (names[j],)
+            out.append(grown)
+            extend(grown, [i for i in allowed[k + 1:] if orthogonal[i][j]])
+
+    extend((), list(range(len(vecs))))
+    return out

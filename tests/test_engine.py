@@ -38,7 +38,7 @@ from zariski import (
 from zariski import engine
 from zariski.exact import as_vector, gram_matrix, solve_symmetric
 
-from conftest import vec_add, vec_scale
+from conftest import orthogonal_sets, vec_add, vec_scale
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,14 +232,15 @@ def test_enumerate_families_cyclic_triple_excluded(affine_a2):
     assert ("c1", "c3") in fams and ("c2", "c3") in fams
 
 
-def test_enumerate_families_max_size_clamps(affine_a2):
+def test_enumerate_families_max_size_clamps(affine_a2, pool):
     assert enumerate_exceptional_families(affine_a2, max_size=0) == [()]
     singles = enumerate_exceptional_families(affine_a2, max_size=1)
     assert singles == [(), ("c1",), ("c2",), ("c3",)]
     assert enumerate_exceptional_families(
         affine_a2, max_size=99
     ) == enumerate_exceptional_families(affine_a2)
-    for model in (affine_a2, del_pezzo(5)):
+    grid_sample = [model for _, model, _ in pool[::10]]
+    for model in (affine_a2, del_pezzo(5), del_pezzo(6), *grid_sample):
         families = enumerate_exceptional_families(model)
         for cap in range(-1, model.rank + 2):
             assert enumerate_exceptional_families(model, max_size=cap) == [
@@ -267,6 +268,35 @@ def test_enumerate_families_matches_naive_filter(source, request):
     assert enumerate_exceptional_families(model) == naive
     if source == "ten_primes":
         assert len(naive) == 27  # 1 empty + 6 singletons + 12 pairs + 8 triples
+
+
+def test_the_walk_takes_only_schur_steps_it_reads(monkeypatch, pool):
+    """A step is taken only for two or more kept primes and a grown family at
+    least two short of the cap; every other step's complement is never
+    tested.  The lists match the independent references under every cap."""
+    models = [(m, orthogonal_sets(m)) for m in map(del_pezzo, range(4, 8))]
+    models += [(m, naive_families(m)) for _, m, _ in pool]
+    real = engine.schur_complement
+    made, steps = {}, []
+
+    def spy(m, t, keep, prev, diag=None):
+        # the walk's own top matrix belongs to the empty family, and a step's
+        # result to a family one prime longer than its input's; `made` holds
+        # every result, so no id is reused within a walk
+        grown = made[id(m)][1] + 1 if id(m) in made else 1
+        steps.append((len(keep), grown))
+        out = real(m, t, keep, prev, diag)
+        made[id(out)] = (out, grown)
+        return out
+
+    monkeypatch.setattr(engine, "schur_complement", spy)
+    for model, families in models:
+        for cap in range(model.rank + 1):
+            made.clear()
+            steps.clear()
+            listed = enumerate_exceptional_families(model, max_size=cap)
+            assert listed == [f for f in families if len(f) <= cap]
+            assert all(kept >= 2 and grown <= cap - 2 for kept, grown in steps)
 
 
 def test_enumerate_families_ignores_positive_rescaling(pool):

@@ -434,8 +434,15 @@ def test_integer_signature_matches_the_fraction_reduction(seed, n):
 
 def test_schur_complement_refuses_an_inexact_division():
     assert schur_complement([[3, 2], [2, 4]], 0, [1], 2) == [[4]]
+    assert schur_complement([[3, 2], [2, 4]], 0, [1], 2, [8]) == [[4]]
     with pytest.raises(ArithmeticError):
         schur_complement([[1, 1], [1, 0]], 0, [1], 2)
+    # a supplied diagonal numerator is divided and checked like the others
+    with pytest.raises(ArithmeticError):
+        schur_complement([[3, 2], [2, 4]], 0, [1], 2, [9])
+    # an exact supplied diagonal leaves the off-diagonal check in place
+    with pytest.raises(ArithmeticError):
+        schur_complement([[1, 1, 0], [1, 1, 1], [0, 1, 0]], 0, [1, 2], 2, [0, 0])
 
 
 def _step_by_entry(m, t, keep, prev):
@@ -454,7 +461,8 @@ def _step_by_entry(m, t, keep, prev):
 @pytest.mark.parametrize("seed", range(40))
 def test_schur_complement_matches_the_per_entry_formula(seed):
     """Stage after stage of one matrix, each over a random kept subset and the
-    previous stage's pivot (1 at the first), so every division is exact."""
+    previous stage's pivot (1 at the first), so every division is exact; the
+    same step with the diagonal numerators supplied gives the same matrix."""
     rng = random.Random(seed)
     n = rng.randint(1, 8)
     m = [[0] * n for _ in range(n)]
@@ -469,6 +477,8 @@ def test_schur_complement_matches_the_per_entry_formula(seed):
         keep = sorted(rng.sample(range(len(m)), rng.randint(0, len(m))))
         out = schur_complement(m, t, keep, prev)
         assert out == _step_by_entry(m, t, keep, prev)
+        diag = [m[t][t] * m[a][a] - m[a][t] ** 2 for a in keep]
+        assert schur_complement(m, t, keep, prev, diag) == out
         assert out == [list(col) for col in zip(*out)]
         prev, m = m[t][t], out
 

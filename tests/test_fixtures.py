@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from zariski import (
     gen_pseudoeffective_class,
 )
 from zariski.fixtures import _random_unimodular, parse_spec_literal, spec_grid
+
+from conftest import orthogonal_sets
 
 
 def test_generation_is_deterministic():
@@ -71,34 +74,29 @@ def test_del_pezzo_primes_are_the_minus_one_classes(r):
     assert model.validate().ok
 
 
-def orthogonal_sets(model) -> list[tuple[str, ...]]:
-    """Sets of pairwise-orthogonal (-1)-classes, depth-first in prime order.
-
-    Such a set has Gram matrix -I, and two (-1)-classes with E.F >= 1 have
-    a 2x2 Gram that is not negative definite, so on a del Pezzo lattice
-    these are exactly the exceptional families.
-    """
-    vecs = [p.vec for p in model.primes]
-    names = model.prime_names()
-    orthogonal = [[model.q(u, v) == 0 for v in vecs] for u in vecs]
-    out = [()]
-
-    def extend(family, allowed):
-        for k, j in enumerate(allowed):
-            grown = family + (names[j],)
-            out.append(grown)
-            extend(grown, [i for i in allowed[k + 1:] if orthogonal[i][j]])
-
-    extend((), list(range(len(vecs))))
-    return out
-
-
 @pytest.mark.parametrize("r", sorted(DEL_PEZZO_FAMILIES))
 def test_del_pezzo_family_counts(r):
     model = del_pezzo(r)
     families = enumerate_exceptional_families(model)
     assert len(families) == DEL_PEZZO_FAMILIES[r]
     assert families == orthogonal_sets(model)
+
+
+# |W(E_r)| / r!: the ways to blow the surface down to P^2 along r disjoint
+# (-1)-curves (Manin, Cubic Forms), that is, the exceptional families of size r
+DEL_PEZZO_BLOW_DOWNS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 72, 7: 576}
+
+
+@pytest.mark.parametrize("r", sorted(DEL_PEZZO_BLOW_DOWNS))
+def test_del_pezzo_census_size_anchors(r):
+    """Size 1 counts the (-1)-curves and size r the blow-downs, under every
+    cap, so the walk's last level before the cap is checked at every depth."""
+    model = del_pezzo(r)
+    for cap in range(1, model.rank + 1):
+        sizes = Counter(map(len, enumerate_exceptional_families(model, max_size=cap)))
+        assert sizes[1] == DEL_PEZZO_PRIMES[r]
+        assert sizes[r] == (DEL_PEZZO_BLOW_DOWNS[r] if r <= cap else 0)
+        assert sizes[r + 1] == 0
 
 
 def test_del_pezzo_rejects_out_of_range():

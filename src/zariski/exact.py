@@ -11,8 +11,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
-from math import lcm
+from functools import cache, cached_property, total_ordering
+from itertools import compress
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -20,6 +21,8 @@ Vector = tuple[Fraction, ...]
 Scalar = Union[Fraction, "QuadExt"]
 
 SQUAREFREE_BOUND = 10**6
+# trial division tries every odd number below this, then only the primes
+_PRIME_TABLE_FROM = 1000
 
 
 class MixedRadicandError(ValueError):
@@ -38,18 +41,40 @@ class CanonicalizationWarning(UserWarning):
     """A radicand could not be certified squarefree within the bound."""
 
 
+@cache
+def _table_primes() -> tuple[int, ...]:
+    """The primes from ``_PRIME_TABLE_FROM`` to :data:`SQUAREFREE_BOUND`,
+    sieved once, when trial division first gets that far."""
+    size = SQUAREFREE_BOUND + 1
+    sieve = bytearray([1]) * size
+    for p in range(2, isqrt(SQUAREFREE_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+    return tuple(compress(range(_PRIME_TABLE_FROM, size), sieve[_PRIME_TABLE_FROM:]))
+
+
+def _trial_divisors():
+    """2, the odd numbers below ``_PRIME_TABLE_FROM``, then the primes of the
+    table: every prime up to the bound, in increasing order."""
+    yield 2
+    yield from range(3, _PRIME_TABLE_FROM, 2)
+    yield from _table_primes()
+
+
 def split_square(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` extracting square prime factors.
 
     Returns ``(s, d)``.  Trial division stops at :data:`SQUAREFREE_BOUND`;
-    if a cofactor survives it without being certified prime, it is folded
-    into ``d`` unreduced and a :class:`CanonicalizationWarning` is emitted.
+    if a cofactor survives it without being certified prime (the first odd
+    number past the bound, squared, does not exceed it), it is folded into
+    ``d`` unreduced and a :class:`CanonicalizationWarning` is emitted.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     s, d, m = 1, 1, n
-    p = 2
-    while p <= SQUAREFREE_BOUND and p * p <= m:
+    for p in _trial_divisors():
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -58,9 +83,9 @@ def split_square(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 d *= p
-        p = 3 if p == 2 else p + 2
-    if m > 1:
-        if p * p <= m:
+    else:
+        past = (SQUAREFREE_BOUND + 1) | 1
+        if past * past <= m:
             warnings.warn(
                 f"radicand cofactor of {m.bit_length()} bits has no prime factor "
                 f"below {SQUAREFREE_BOUND}; "
@@ -68,6 +93,7 @@ def split_square(n: int) -> tuple[int, int]:
                 CanonicalizationWarning,
                 stacklevel=2,
             )
+    if m > 1:
         d *= m
     return s, d
 

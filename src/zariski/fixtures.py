@@ -4,19 +4,22 @@ Models are produced by conjugating the standard form ``diag(1, -1, ..., -1)``
 with a random unimodular integer matrix, so every generated model is exactly
 Lorentzian and carries a distinguished class of self-pairing one.  Prime
 classes are rejection-sampled in diagonal coordinates where the acceptance
-conditions are cheap to state.  Everything is driven by a single seed, so a
-spec reproduces its model bit-for-bit.  ``del_pezzo`` builds the del Pezzo
-lattices, whose exceptional-family counts are known answers.
+conditions are cheap to state.  Everything is driven by a single seed, and
+every draw follows one fixed rule on ``getrandbits`` (:func:`_below`), so a
+spec gives the same model and classes on every supported Python.
+``del_pezzo`` builds the del Pezzo lattices, whose exceptional-family counts
+are known answers.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .cone import ConeModel, cone_model
-from .exact import Vector, as_vector, clear_denominators, combine, dot, zero_vector
+from .exact import Vector, as_vector, dot
 from .serialize import FormatError
 
 
@@ -76,8 +79,19 @@ def parse_spec_literal(text: str) -> FixtureSpec:
 
 
 # ---------------------------------------------------------------------------
-# exact integer matrix helpers
+# draws and exact integer matrix helpers
 # ---------------------------------------------------------------------------
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from ``range(n)``: ``n.bit_length()`` random bits,
+    redrawn while they reach ``n``.  This is the rule ``randrange``,
+    ``randint`` and ``choice`` reduce to, so the stream of draws is theirs."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -92,10 +106,10 @@ def _random_unimodular(
     the inverse, so ``u * inverse == I`` throughout."""
     u, inv = _identity(n), _identity(n)
     for _ in range(4 * n * n + 8):
-        op = rng.randrange(4)
-        i, j = rng.randrange(n), rng.randrange(n)
+        op = _below(rng, 4)
+        i, j = _below(rng, n), _below(rng, n)
         if op == 0 and i != j:
-            sign = rng.choice((1, -1))
+            sign = (1, -1)[_below(rng, 2)]
             candidate = [u[i][k] + sign * u[j][k] for k in range(n)]
             if max(abs(x) for x in candidate) <= bound:
                 u[i] = candidate
@@ -161,7 +175,7 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
                 f"could not place prime {len(accepted) + 1} of "
                 f"{spec.prime_count} after {budget} attempts; spec too tight: {spec}"
             )
-        w = [rng.randint(-bound, bound) for _ in range(n)]
+        w = [_below(rng, 2 * bound + 1) - bound for _ in range(n)]
         if all(x == 0 for x in w):
             continue
         if w[0] < 0:
@@ -179,19 +193,10 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
     return model
 
 
-def _primitive(vec: Vector) -> Vector:
-    """Scale a rational vector to primitive integer form (positive scale)."""
-    ints, _ = clear_denominators(vec)
-    g = gcd(*ints)
-    if g == 0:
-        return vec
-    return as_vector(x // g for x in ints)
-
-
 def _boundary_classes(
     model: ConeModel, rng: random.Random, want: int, attempts: int = 80
-) -> list[Vector]:
-    """Rational isotropic classes on the positive-cone boundary.
+) -> list[tuple[int, ...]]:
+    """Isotropic integer classes on the positive-cone boundary, primitive.
 
     Searches small integer vectors ``v`` of negative self-pairing whose
     two-plane with ``h`` meets the light cone rationally, i.e. the
@@ -200,31 +205,39 @@ def _boundary_classes(
     integer dot products on ``model.compiled``: with ``A = s*Q`` and
     ``H = e*h`` integral, the discriminant is ``(H·A·v)^2 - (H·A·H)(v·A·v)``
     over the square ``(s*e)^2``, so it is a rational square iff that integer
-    is a perfect square.
+    is a perfect square.  It is positive, since ``v·A·v < 0 < H·A·H``.  The
+    root ``v + e*(root - H·A·v)/(H·A·H) * h`` is, scaled by ``H·A·H``, the
+    integer vector ``(H·A·H)*v + (root - H·A·v)*H``.
     """
     c = model.compiled
-    hah = dot(c.qh, c.h)
-    found: list[Vector] = []
+    form, qh, big_h = c.form, c.qh, c.h
+    hah = dot(qh, big_h)
+    entries = range(model.rank)
+    getrandbits = rng.getrandbits
+    found: list[tuple[int, ...]] = []
     for _ in range(attempts):
         if len(found) >= want:
             break
-        v = [rng.randint(-3, 3) for _ in range(model.rank)]
-        vav = dot(v, [dot(row, v) for row in c.form])
+        v = []
+        for _ in entries:  # _below(rng, 7) - 3, inlined
+            x = getrandbits(3)
+            while x >= 7:
+                x = getrandbits(3)
+            v.append(x - 3)
+        vav = sum(map(mul, v, [sum(map(mul, row, v)) for row in form]))
         if vav >= 0:
             continue
-        hav = dot(c.qh, v)
+        hav = sum(map(mul, qh, v))
         disc = hav * hav - hah * vav
-        if disc < 0:
-            continue
         root = isqrt(disc)
         if root * root != disc:
             continue
-        # (-q(h, v) + sqrt(disc)) / q(h, h) in the integer view
-        a = Fraction(c.h_den * (root - hav), hah)
-        boundary = _primitive(combine(as_vector(v), [(a, model.h)]))
-        if all(x == 0 for x in boundary):
+        a = root - hav
+        w = [hah * x + a * y for x, y in zip(v, big_h)]
+        g = gcd(*w)
+        if g == 0:
             continue
-        found.append(boundary)
+        found.append(tuple(x // g for x in w))
     return found
 
 
@@ -235,13 +248,22 @@ def gen_pseudoeffective_class(model: ConeModel, seed: int) -> Vector:
     two rational boundary classes of the positive cone, and the model's
     primes; zero coefficients are common by design so degenerate corners
     (pure prime sums, boundary classes, the zero class) occur naturally.
+    The sum is taken in integers over one common denominator, from the
+    integer vectors of ``model.compiled``.
     """
     rng = random.Random(seed)
-    parts: list[Vector] = [model.h]
-    parts.extend(_boundary_classes(model, rng, want=2))
-    parts.extend(p.vec for p in model.primes)
-    coeffs = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in parts]
-    return combine(zero_vector(model.rank), zip(coeffs, parts))
+    c = model.compiled
+    parts = [(c.h, c.h_den), *((b, 1) for b in _boundary_classes(model, rng, want=2)),
+             *zip(c.primes, c.dens)]
+    # each part is an integer vector over its denominator; its coefficient,
+    # randint(0, 3) / randint(1, 3), scales the numerator and the denominator
+    terms = [(_below(rng, 4), den * (1 + _below(rng, 3)), vec) for vec, den in parts]
+    common = lcm(*(den for _, den, _ in terms))
+    total = [0] * model.rank
+    for num, den, vec in terms:
+        k = num * (common // den)
+        total = [t + k * x for t, x in zip(total, vec)]
+    return tuple(Fraction(t, common) for t in total)
 
 
 # ---------------------------------------------------------------------------

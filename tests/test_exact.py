@@ -25,7 +25,7 @@ from zariski import (
     split_square,
     symmetric_form,
 )
-from zariski.exact import SQUAREFREE_BOUND, schur_complement
+from zariski.exact import SQUAREFREE_BOUND, _table_primes, schur_complement
 
 # n/d with d <= 6 and |n| <= 6d: the support of st.fractions(-6, 6,
 # max_denominator=6), drawn without its flatmap; k*d // 6 takes every
@@ -73,6 +73,40 @@ def test_split_square_warning_gives_the_cofactor_size():
     n = PAST_BOUND**720
     with pytest.warns(CanonicalizationWarning, match=f"of {n.bit_length()} bits"):
         assert split_square(n) == (1, n)
+
+
+# the greatest prime below the bound
+LAST_TABLE_PRIME = 999983
+
+
+@pytest.mark.parametrize("n, expected", [
+    (LAST_TABLE_PRIME**2 * 3, (LAST_TABLE_PRIME, 3)),
+    # the cofactor is left past the bound, but below (bound + 1)^2: it is prime
+    (PAST_BOUND * LAST_TABLE_PRIME**2, (LAST_TABLE_PRIME, PAST_BOUND)),
+    # a prime past bound^2 but below (bound + 1)^2, the first odd number past
+    # the bound squared: no prime below the bound divides it, so it is prime
+    (10**12 + 39, (1, 10**12 + 39)),
+])
+def test_split_square_at_the_bound_does_not_warn(n, expected):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert split_square(n) == expected
+
+
+def test_split_square_table_holds_the_primes_to_the_bound():
+    table = _table_primes()
+    assert len(table) == 78498 - 168  # primes below 10^6, less those below 1000
+    assert (table[0], table[-1]) == (1009, LAST_TABLE_PRIME)
+
+
+def test_split_square_small_radicands_build_no_table():
+    _table_primes.cache_clear()
+    for n in range(1, 5000):
+        split_square(n)
+    assert split_square(997**2 * 991) == (997, 991)
+    assert _table_primes.cache_info().currsize == 0
 
 
 def test_split_square_certified_prime_cofactor_does_not_warn():

@@ -17,7 +17,7 @@ from zariski import (
     gen_model,
     gen_pseudoeffective_class,
 )
-from zariski.fixtures import _random_unimodular, parse_spec_literal, spec_grid
+from zariski.fixtures import _below, _random_unimodular, parse_spec_literal, spec_grid
 
 from conftest import orthogonal_sets
 
@@ -47,6 +47,24 @@ def test_generated_models_are_valid_across_specs():
             assert model.prime_names() == tuple(
                 f"p{k + 1}" for k in range(prime_count)
             )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024, 10**9 + 7])
+def test_below_draws_as_randrange(seed):
+    """One stream of interleaved sizes: _below consumes exactly the draws
+    randrange does, so switching between them keeps every later draw."""
+    sizes = [1 + (k * 7) % 16 for k in range(400)]
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert [_below(ours, n) for n in sizes] == [ref.randrange(n) for n in sizes]
+    assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_below_two_draws_as_choice(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert ([(1, -1)[_below(ours, 2)] for _ in range(200)]
+            == [ref.choice((1, -1)) for _ in range(200)])
+    assert ours.getstate() == ref.getstate()
 
 
 def test_random_unimodular_returns_its_inverse():
@@ -144,6 +162,21 @@ def test_generated_classes_are_pinned(pool):
     text = "\n".join(",".join(str(x) for x in alpha)
                      for _, _, classes in pool for alpha in classes)
     assert hashlib.sha256(text.encode()).hexdigest() == POOL_CLASS_DIGEST
+
+
+# sha256 of form, h and primes of the spec_grid(400) models, frozen when
+# generation drew through randint, randrange and choice
+POOL_MODEL_DIGEST = "7e9779474e5d84931ba95741d4182b0c4661378d0522b8a50a0bdc92fc6136d1"
+
+
+def test_generated_models_are_pinned():
+    def line(model):
+        form = ";".join(",".join(map(str, row)) for row in model.form.entries)
+        primes = ";".join(",".join(map(str, p.vec)) for p in model.primes)
+        return f"{form}|{','.join(map(str, model.h))}|{primes}"
+
+    text = "\n".join(line(gen_model(spec)) for spec in spec_grid(400))
+    assert hashlib.sha256(text.encode()).hexdigest() == POOL_MODEL_DIGEST
 
 
 def test_generated_classes_decompose(pool):

@@ -48,9 +48,9 @@ from zariski.fixtures import del_pezzo
 from zariski.serialize import (
     decomposition_to_json,
     dump_model,
-    format_rational,
     load_model,
     parse_class_literal,
+    to_text,
 )
 
 PHASES = ("argv", "load_model", "validate", "decompose", "render")
@@ -139,7 +139,7 @@ def measure(r: int, workdir: Path, repeat: int) -> dict:
     dump_model(model, path)
     alpha = [2 * h + a + b for h, a, b in zip(model.h, model.primes[0].vec,
                                                model.primes[-1].vec)]
-    literal = ",".join(format_rational(x) for x in alpha)
+    literal = ",".join(to_text(x) for x in alpha)
     argv = ["decompose", "--model", str(path), f"--class={literal}"]
     for _ in range(3):  # warm the parser and the interpreter's caches
         phases_once(argv)

@@ -37,7 +37,6 @@ from .serialize import (
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
-    format_rational,
     load_json,
     load_model,
     model_to_json,
@@ -112,9 +111,9 @@ def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
     vol = bundle.intersect3(base, z, z, z)
     result = {
         "base": {
-            "D^2": format_rational(base.d_sq),
-            "D.H": format_rational(base.dh),
-            "H^2": format_rational(base.h_sq),
+            "D^2": to_text(base.d_sq),
+            "D.H": to_text(base.dh),
+            "H^2": to_text(base.h_sq),
         },
         "mu": scalar_to_json(mu),
         "mu_decimal": decimal_approx(mu),
@@ -160,14 +159,14 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
             "stored support does not match the strictly positive coefficients"
         )
     recomputed_volume = _report_volume(model, derived)
+    volume_text = to_text(recomputed_volume)
     if recomputed_volume != doc.volume:
         violations.append(
-            f"stored volume {doc.volume} differs from recomputed "
-            f"{recomputed_volume}"
+            f"stored volume {doc.volume} differs from recomputed {volume_text}"
         )
     result = {
         "violations": violations,
-        "volume_recomputed": format_rational(recomputed_volume),
+        "volume_recomputed": volume_text,
         "ok": not violations,
     }
     code = EXIT_OK if not violations else EXIT_CHECK_FAILED

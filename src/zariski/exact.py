@@ -117,9 +117,10 @@ class QuadExt:
     The constructor canonicalizes the radicand: square factors found by
     trial division move into ``b``, perfect squares collapse to rationals,
     and a rational value always carries ``d == 0``.  Arithmetic results
-    keep their operands' radicand, which is reduced already.  All
-    arithmetic and comparisons are exact; combining two distinct irrational
-    radicands raises :class:`MixedRadicandError`.
+    keep their operands' radicand, which is reduced already.  The ring
+    operations, sign and order are exact, and there is no division;
+    combining two distinct irrational radicands raises
+    :class:`MixedRadicandError`.
     """
 
     __slots__ = ("a", "b", "d")
@@ -224,47 +225,8 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "QuadExt":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            if self.sign() == 0:
-                raise ZeroDivisionError("division by zero")
-            raise ArithmeticError(
-                f"cannot invert {self}: unreduced radicand {self.d} is a "
-                "perfect square"
-            )
-        return QuadExt._reduced(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        other = self._unify(other)
-        if other is None:
-            return NotImplemented
-        return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        other = self._unify(other)
-        if other is None:
-            return NotImplemented
-        return other * self._inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = QuadExt(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __neg__(self):
         return QuadExt._reduced(-self.a, -self.b, self.d)
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     # -- comparisons ---------------------------------------------------
 
@@ -342,10 +304,6 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(Fraction(x) for x in coords)
 
 
-def zero_vector(rank: int) -> Vector:
-    return (Fraction(0),) * rank
-
-
 def clear_denominators(vec: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """``(ints, den)`` with ``ints == den * vec``; ``den`` is the least positive one."""
     vec = tuple(vec)
@@ -396,9 +354,6 @@ class SymmetricForm:
     @property
     def rank(self) -> int:
         return len(self.entries)
-
-    def rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
     @cached_property
     def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:

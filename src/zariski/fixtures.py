@@ -193,10 +193,9 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
     return model
 
 
-def _boundary_classes(
-    model: ConeModel, rng: random.Random, want: int, attempts: int = 80
-) -> list[tuple[int, ...]]:
-    """Isotropic integer classes on the positive-cone boundary, primitive.
+def _boundary_classes(model: ConeModel, rng: random.Random) -> list[tuple[int, ...]]:
+    """Up to two isotropic integer classes on the positive-cone boundary,
+    primitive, found in 80 draws.
 
     Searches small integer vectors ``v`` of negative self-pairing whose
     two-plane with ``h`` meets the light cone rationally, i.e. the
@@ -215,8 +214,8 @@ def _boundary_classes(
     entries = range(model.rank)
     getrandbits = rng.getrandbits
     found: list[tuple[int, ...]] = []
-    for _ in range(attempts):
-        if len(found) >= want:
+    for _ in range(80):
+        if len(found) >= 2:
             break
         v = []
         for _ in entries:  # _below(rng, 7) - 3, inlined
@@ -253,7 +252,7 @@ def gen_pseudoeffective_class(model: ConeModel, seed: int) -> Vector:
     """
     rng = random.Random(seed)
     c = model.compiled
-    parts = [(c.h, c.h_den), *((b, 1) for b in _boundary_classes(model, rng, want=2)),
+    parts = [(c.h, c.h_den), *((b, 1) for b in _boundary_classes(model, rng)),
              *zip(c.primes, c.dens)]
     # each part is an integer vector over its denominator; its coefficient,
     # randint(0, 3) / randint(1, 3), scales the numerator and the denominator

@@ -42,10 +42,6 @@ def parse_rational(value: Any) -> Fraction:
     raise FormatError(f"expected a rational, got {type(value).__name__}")
 
 
-def format_rational(value: Fraction) -> str:
-    return to_text(Fraction(value))
-
-
 def to_text(value: Any) -> str:
     """``str(value)``, refusing a number past the int-to-str digit limit."""
     try:
@@ -57,14 +53,14 @@ def to_text(value: Any) -> str:
 def scalar_to_json(value: Scalar) -> Any:
     if isinstance(value, QuadExt):
         if value.is_rational:
-            return format_rational(value.as_fraction())
+            return to_text(value.a)
         to_text(value.d)  # d goes out as a JSON number, printed by the writer
-        return {"a": format_rational(value.a), "b": format_rational(value.b), "d": value.d}
-    return format_rational(value)
+        return {"a": to_text(value.a), "b": to_text(value.b), "d": value.d}
+    return to_text(value)
 
 
 def vector_to_json(vec: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in vec]
+    return [to_text(x) for x in vec]
 
 
 class Literals(dict):
@@ -202,10 +198,10 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
         "alpha": vector_to_json(dec.alpha),
         "positive_part": vector_to_json(dec.positive_part),
         "negative_part": {
-            name: format_rational(c) for name, c in dec.negative_coeffs.items()
+            name: to_text(c) for name, c in dec.negative_coeffs.items()
         },
         "support": list(dec.support),
-        "volume": format_rational(_report_volume(model, dec.positive_part)),
+        "volume": to_text(_report_volume(model, dec.positive_part)),
         "certificate": certificate_to_json(dec.certificate),
         "iterations": dec.iterations,
     }
@@ -243,7 +239,9 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
     if not isinstance(support, list) or not all(isinstance(s, str) for s in support):
         raise FormatError("support must be a list of prime names")
     certificate = data.get("certificate", {})
-    if not isinstance(certificate, dict):
+    if not isinstance(certificate, dict) or not all(
+        isinstance(v, bool) for v in certificate.values()
+    ):
         raise FormatError("certificate must be an object of booleans")
     iterations = data.get("iterations", 0)
     if isinstance(iterations, bool) or not isinstance(iterations, int):
@@ -255,7 +253,7 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
         negative_coeffs={n: literals.parse(c) for n, c in negative.items()},
         support=tuple(support),
         volume=literals.parse(data["volume"]),
-        certificate={k: bool(v) for k, v in certificate.items()},
+        certificate=certificate,
         iterations=iterations,
     )
 

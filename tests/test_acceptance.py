@@ -32,7 +32,7 @@ from zariski import (
 )
 from zariski.bundle import L
 from zariski.cli import main
-from zariski.exact import as_vector, gram_matrix, is_negative_definite, zero_vector
+from zariski.exact import as_vector, gram_matrix, is_negative_definite
 
 from conftest import vec_add, vec_scale
 
@@ -192,7 +192,7 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
         if len(model.primes) < 2:
             continue
         reordered = cone_model(
-            model.form.rows(),
+            model.form.entries,
             [(p.name, p.vec) for p in reversed(model.primes)],
             model.h,
             model.m,
@@ -216,12 +216,12 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
                     name: draws[(j + offset) % len(draws)]
                     for j, name in enumerate(family)
                 }
-                alpha = zero_vector(model.rank)
+                alpha = (Q(0),) * model.rank
                 for name, c in coeffs.items():
                     vec = model.prime_vec[name]
                     alpha = vec_add(alpha, vec_scale(c, vec))
                 d = decompose(model, alpha)
-                assert d.positive_part == zero_vector(model.rank)
+                assert d.positive_part == (Q(0),) * model.rank
                 assert dict(d.negative_coeffs) == coeffs
                 assert sorted(d.support) == sorted(family)
                 fixed += 1

@@ -223,6 +223,16 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "duplicate key 'E'"),
         (b"\xef\xbb\xbf" + (TESTS_DIR / "data" / "s1.json").read_bytes(),
          ["decompose", "--model", "{file}", "--class=1,2"], "Unexpected UTF-8 BOM"),
+        # q(Z, Z) = 7/16 - 3/2 * SEVENS_4299 has 4301 digits: the power guard
+        # lets it through, and the check's message must refuse to print it
+        (json.dumps({"rank": 2, "form": [["1", SEVENS_4299], [SEVENS_4299, "-1"]],
+                     "primes": {}, "ample": ["1", "0"]}).encode(),
+         ["check", "--model", "{file}", "--decomposition", "data/dec_no_primes.json"],
+         "too large to print"),
+        (json.dumps({**DEC_S1, "certificate": {"orthogonality_checked": "false",
+                                               "bogus": [1]}}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "certificate must be an object of booleans"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
@@ -230,7 +240,7 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "huge-m-decompose", "huge-m-check", "deeply-nested-json",
          "huge-prime-pairing-message", "huge-orthogonality-message",
          "duplicate-prime-name", "duplicate-class-key", "duplicate-negative-part-key",
-         "utf8-bom"],
+         "utf8-bom", "huge-recomputed-volume-check", "non-boolean-certificate"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -555,7 +555,7 @@ def test_prime_order_does_not_change_result(pool_decompositions):
         if len(model.primes) < 2:
             continue
         reordered = cone_model(
-            model.form.rows(),
+            model.form.entries,
             [(p.name, p.vec) for p in reversed(model.primes)],
             model.h,
             model.m,

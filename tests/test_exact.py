@@ -159,9 +159,7 @@ def test_quadext_equals_rational():
 def test_quadext_arithmetic_identities():
     r2 = QuadExt(0, 1, 2)
     assert (1 + r2) * (1 - r2) == -1
-    assert 1 / (1 + r2) == -1 + r2
     assert r2 * r2 == 2
-    assert (r2**4) == 4
     assert -r2 + r2 == 0
     assert (QuadExt(Q(1, 2), Q(1, 6), 3) * 6) == QuadExt(3, 1, 3)
 
@@ -193,15 +191,6 @@ def test_quadext_zero_with_square_radicand_beyond_bound():
     assert x == 0
 
 
-def test_quadext_division_errors():
-    with pytest.raises(ZeroDivisionError):
-        1 / QuadExt(0)
-    with pytest.warns(CanonicalizationWarning):
-        square = QuadExt(PAST_BOUND, -1, PAST_BOUND**2)
-    with pytest.raises(ZeroDivisionError):
-        1 / square
-
-
 def test_rational_results_carry_no_radicand():
     x = QuadExt(Q(1, 2), 1, 3)
     assert repr(x - QuadExt(0, 1, 3)) == "QuadExt(1/2, 0, 0)"
@@ -227,8 +216,6 @@ def test_quadext_ring_axioms(a1, b1, a2, b2, d):
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x - y) + y == x
-    if y != 0:
-        assert (x / y) * y == x
 
 
 @given(rationals, rationals, radicands)
@@ -417,7 +404,7 @@ def _random_symmetric(rng: random.Random, n: int):
 
 def _reference_signature(form):
     """The Fraction congruence reduction that the integer `signature` replaced."""
-    m = form.rows()
+    m = [list(row) for row in form.entries]
     plus = minus = zero = 0
     while m:
         k = len(m)

@@ -1,5 +1,5 @@
 """Every module uses each name it imports; the library reads no environment;
-the package loads a submodule only when one of its names is used."""
+each script runs; the package loads a submodule only when one of its names is used."""
 from __future__ import annotations
 
 import ast
@@ -73,16 +73,28 @@ def test_benchmark_span_names_resolve(layer, names):
     assert not missing, "the benchmark times names the library lacks: " + ", ".join(missing)
 
 
-# -- the lazy package ------------------------------------------------------------
-
-
-def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`code` in a new interpreter that imports this checkout's ``src``, run
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """A new interpreter with `argv` that imports this checkout's ``src``, run
     from ``tests`` so that the data paths are relative."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT / "tests", env=env,
+    return subprocess.run([sys.executable, *argv], cwd=ROOT / "tests", env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run_cutkosky.py", "--max-entry", "2"],
+    ["oracle_sweep.py", "--models", "6", "--classes", "1"],
+    ["command_phases.py", "--help"],
+    ["bench_pairs.py", "--help"],
+], ids=lambda argv: argv[0])
+def test_scripts_run(argv):
+    """Each script imports what it uses from the library and runs a small case."""
+    proc = run_fresh(str(ROOT / "scripts" / argv[0]), *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- the lazy package ------------------------------------------------------------
 
 
 _COMMANDS_THEN_MODULES = """
@@ -109,7 +121,7 @@ def test_model_commands_load_neither_bundle_nor_fixtures(tmp_path):
         ["validate", "--model", "data/s1.json"],
         ["exceptional", "--model", "data/s1.json"],
     ]
-    proc = run_fresh(_COMMANDS_THEN_MODULES, json.dumps(commands))
+    proc = run_fresh("-c", _COMMANDS_THEN_MODULES, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["codes"] == [0] * len(commands)
@@ -125,7 +137,7 @@ def test_model_commands_load_neither_bundle_nor_fixtures(tmp_path):
     (["fixtures", "--spec", "2,6,1"], 3, "spec too tight"),
 ], ids=["cutkosky", "fixtures", "fixtures-too-tight"])
 def test_bundle_and_fixtures_commands_from_a_fresh_process(argv, code, expected):
-    proc = run_fresh("from zariski.cli import entry; entry()", *argv)
+    proc = run_fresh("-c", "from zariski.cli import entry; entry()", *argv)
     assert proc.returncode == code, proc.stderr
     report = json.loads(proc.stdout)
     report.pop("timing_ms")

@@ -19,9 +19,8 @@ _EXPORTS = {
     "cone": "ConeModel InvalidModelError PrimeClass ValidationReport cone_model",
     "engine": """Certificate Decomposition InternalInconsistencyError
         NotPseudoEffectiveError OracleUniquenessError UnknownPrimeError
-        brute_force_decompose chamber_of decompose enumerate_exceptional_families
-        is_big is_exceptional_family negative_part verify_certificate volume
-        zariski_projection""",
+        brute_force_decompose decompose enumerate_exceptional_families is_big
+        is_exceptional_family verify_certificate volume""",
     "exact": """CanonicalizationWarning DegeneratePolynomialError
         DimensionMismatchError MixedRadicandError QuadExt SymmetricForm Vector
         as_vector gram_matrix inner is_negative_definite quadratic_roots

@@ -39,7 +39,7 @@ def is_rational(x: Scalar) -> bool:
 def _demote(x: Scalar) -> Scalar:
     """Collapse a rational QuadExt back to a plain Fraction."""
     if isinstance(x, QuadExt) and x.is_rational:
-        return x.as_fraction()
+        return x.a
     return x
 
 

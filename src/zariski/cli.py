@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
-from pathlib import Path
 from time import perf_counter
 
 from .cone import InvalidModelError
@@ -37,6 +36,7 @@ from .serialize import (
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
+    dump_model,
     load_json,
     load_model,
     model_to_json,
@@ -88,7 +88,7 @@ def cmd_chambers(args) -> tuple[dict, dict | None, int]:
     entries = []
     literals = Literals()
     for item in data:
-        vec = vector_from_json(item, model.rank, literals)
+        vec = vector_from_json(item, literals, model.rank)
         entry: dict = {"class": vector_to_json(vec)}
         try:
             dec = decompose(model, vec)
@@ -191,13 +191,12 @@ def cmd_fixtures(args) -> tuple[dict, dict | None, int]:
         model = gen_model(spec)
     except GenerationExhaustedError as exc:
         raise FormatError(str(exc)) from exc
-    document = model_to_json(model)
     result = {
         "spec": asdict(spec),
-        "model": document,
+        "model": model_to_json(model),
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
+        dump_model(model, args.out)
         result["written"] = args.out
     return result, None, EXIT_OK
 
@@ -216,7 +215,7 @@ def _echo_inputs(args) -> dict:
     }
 
 
-def _render_pretty(value, indent: int = 0) -> list[str]:
+def _render_pretty(value: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
@@ -227,15 +226,13 @@ def _render_pretty(value, indent: int = 0) -> list[str]:
             else:
                 rendering = v if not isinstance(v, (dict, list)) else "(empty)"
                 lines.append(f"{pad}{k}: {rendering}")
-    elif isinstance(value, list):
+    else:
         for v in value:
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_pretty(v, indent + 1))
             else:
                 lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 
@@ -341,7 +338,7 @@ def main(argv=None) -> int:
         report["error"] = {"category": "invalid-input", "message": str(exc)}
         code = EXIT_INVALID_INPUT
     report["timing_ms"] = round((perf_counter() - started) * 1000, 3)
-    _emit(report, getattr(args, "pretty", False))
+    _emit(report, args.pretty)
     return code
 
 

@@ -87,7 +87,7 @@ class ConeModel:
     form: SymmetricForm
     primes: tuple[PrimeClass, ...]
     h: Vector
-    m: int = 1
+    m: int
 
     def __post_init__(self):
         r = self.rank

@@ -250,21 +250,6 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     )
 
 
-def zariski_projection(model: ConeModel, alpha: Sequence) -> Vector:
-    """The dual-nef positive part of `alpha`."""
-    return decompose(model, alpha).positive_part
-
-
-def negative_part(model: ConeModel, alpha: Sequence) -> dict[str, Fraction]:
-    """Coefficients of the exceptional negative part of `alpha`."""
-    return dict(decompose(model, alpha).negative_coeffs)
-
-
-def chamber_of(model: ConeModel, alpha: Sequence) -> tuple[str, ...]:
-    """Support of the negative part, in model order; labels the chamber."""
-    return decompose(model, alpha).support
-
-
 def _volume(model: ConeModel, positive_part: Vector) -> Fraction:
     """``q(Z, Z)**m`` for a positive part ``Z``, refused before the power.
 
@@ -289,13 +274,13 @@ def volume(model: ConeModel, alpha: Sequence) -> Fraction:
     Raises :class:`OverflowError` when the power has more decimal digits
     than the interpreter's int-to-str limit.
     """
-    return _volume(model, zariski_projection(model, alpha))
+    return _volume(model, decompose(model, alpha).positive_part)
 
 
 def is_big(model: ConeModel, alpha: Sequence) -> bool:
     """Whether the positive part lies in the open positive cone."""
-    p = zariski_projection(model, alpha)
-    return inner(model.form, p, p) > 0 and inner(model.form, p, model.h) > 0
+    p = decompose(model, alpha).positive_part
+    return model.q(p, p) > 0 and model.q(p, model.h) > 0
 
 
 def is_exceptional_family(model: ConeModel, names: Sequence[str]) -> bool:

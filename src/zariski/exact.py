@@ -156,11 +156,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         a, b, d = self.a, self.b, self.d
         if b == 0:

@@ -80,12 +80,9 @@ class Literals(dict):
         return self[value] if type(value) is str else parse_rational(value)
 
 
-def vector_from_json(data: Any, rank: int | None = None,
-                     literals: Literals | None = None) -> Vector:
+def vector_from_json(data: Any, literals: Literals, rank: int | None = None) -> Vector:
     if not isinstance(data, list):
         raise FormatError(f"expected a list of rationals, got {type(data).__name__}")
-    if literals is None:
-        literals = Literals()
     vec = tuple(map(literals.parse, data))
     if rank is not None and len(vec) != rank:
         raise FormatError(f"expected a vector of length {rank}, got {len(vec)}")
@@ -120,13 +117,13 @@ def model_from_json(data: Any) -> ConeModel:
     if not isinstance(form_rows, list) or len(form_rows) != rank:
         raise FormatError(f"form must be a {rank}x{rank} matrix")
     literals = Literals()
-    rows = tuple(vector_from_json(row, rank, literals) for row in form_rows)
+    rows = tuple(vector_from_json(row, literals, rank) for row in form_rows)
     primes = data["primes"]
     if not isinstance(primes, dict):
         raise FormatError("primes must be an object mapping names to vectors")
-    prime_classes = tuple(PrimeClass(name, vector_from_json(vec, literals=literals))
+    prime_classes = tuple(PrimeClass(name, vector_from_json(vec, literals))
                           for name, vec in primes.items())
-    ample = vector_from_json(data["ample"], literals=literals)
+    ample = vector_from_json(data["ample"], literals)
     try:  # the vectors hold Fractions already, so they are not coerced again
         return ConeModel(SymmetricForm(rows), prime_classes, ample, data.get("m", 1))
     except ValueError as exc:
@@ -150,22 +147,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return out
 
 
-# One decoder serves every document, as json's own default decoder does: decoding
-# keeps no state between calls.  json.loads would build a new one per call, for the hook.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-
-
 def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     try:
-        if text.startswith("\ufeff"):  # the check json.loads makes before decoding
-            raise json.JSONDecodeError(
-                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
-            )
-        return _DECODER.decode(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -248,8 +236,8 @@ def decomposition_from_json(data: Any) -> DecompositionDocument:
         raise FormatError(f"iterations must be an integer, got {iterations!r}")
     literals = Literals()
     return DecompositionDocument(
-        alpha=vector_from_json(data["alpha"], literals=literals),
-        positive_part=vector_from_json(data["positive_part"], literals=literals),
+        alpha=vector_from_json(data["alpha"], literals),
+        positive_part=vector_from_json(data["positive_part"], literals),
         negative_coeffs={n: literals.parse(c) for n, c in negative.items()},
         support=tuple(support),
         volume=literals.parse(data["volume"]),

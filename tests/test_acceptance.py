@@ -28,7 +28,6 @@ from zariski import (
     spec_grid,
     volume,
     volume_L,
-    zariski_projection,
 )
 from zariski.bundle import L
 from zariski.cli import main
@@ -181,7 +180,7 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
     projected = 0
     for model, alpha, d in pool_decompositions:
         z = d.positive_part
-        assert zariski_projection(model, z) == z
+        assert decompose(model, z).positive_part == z
         assert volume(model, alpha) == volume(model, z)
         projected += 1
     assert projected >= 500

@@ -233,6 +233,31 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
                                                "bogus": [1]}}).encode(),
          ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
          "certificate must be an object of booleans"),
+        (b'["1", "0"]', ["validate", "--model", "{file}"],
+         "model document must be a JSON object"),
+        (b'{"rank": 1, "form": [["1"]]}', ["validate", "--model", "{file}"],
+         "model document lacks fields: ['ample', 'primes']"),
+        (json.dumps({"rank": 2, "form": [["1", "0"]], "primes": {},
+                     "ample": ["1", "0"]}).encode(),
+         ["validate", "--model", "{file}"], "form must be a 2x2 matrix"),
+        (json.dumps({"rank": 1, "form": [["1"]], "primes": [["E", ["1"]]],
+                     "ample": ["1"]}).encode(),
+         ["validate", "--model", "{file}"], "primes must be an object"),
+        (b'["1", "2"]',
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "decomposition document must be a JSON object"),
+        (json.dumps({k: v for k, v in DEC_S1.items() if k != "volume"}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "decomposition document lacks fields: ['volume']"),
+        (json.dumps({**DEC_S1, "negative_part": [["E", "1"]]}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "negative_part must be an object"),
+        (json.dumps({**DEC_S1, "support": [1]}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "support must be a list of prime names"),
+        (b'[["1", "2"], "1,2"]',
+         ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
+         "expected a list of rationals, got str"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
@@ -240,7 +265,10 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "huge-m-decompose", "huge-m-check", "deeply-nested-json",
          "huge-prime-pairing-message", "huge-orthogonality-message",
          "duplicate-prime-name", "duplicate-class-key", "duplicate-negative-part-key",
-         "utf8-bom", "huge-recomputed-volume-check", "non-boolean-certificate"],
+         "utf8-bom", "huge-recomputed-volume-check", "non-boolean-certificate",
+         "model-not-object", "model-lacks-fields", "form-not-square", "primes-not-object",
+         "decomposition-not-object", "decomposition-lacks-fields",
+         "negative-part-not-object", "support-not-names", "class-not-list"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"

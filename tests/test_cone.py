@@ -42,8 +42,9 @@ def test_validate_rejects_non_lorentzian_signature():
     assert any("signature" in v for v in report.violations)
 
 
-def test_validate_rejects_nonpositive_reference_class():
-    model = cone_model([[1, 0], [0, -1]], {"E": [0, 1]}, [0, 1])
+@pytest.mark.parametrize("h", [[0, 1], [1, 1]], ids=["negative", "isotropic"])
+def test_validate_rejects_nonpositive_reference_class(h):
+    model = cone_model([[1, 0], [0, -1]], {"E": [0, 1]}, h)
     report = model.validate()
     assert any("q(h, h) > 0" in v for v in report.violations)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction as Q
@@ -22,7 +23,6 @@ from zariski import (
     OracleUniquenessError,
     UnknownPrimeError,
     brute_force_decompose,
-    chamber_of,
     cone_model,
     decompose,
     del_pezzo,
@@ -30,10 +30,8 @@ from zariski import (
     is_big,
     is_exceptional_family,
     load_model,
-    negative_part,
     verify_certificate,
     volume,
-    zariski_projection,
 )
 from zariski import engine
 from zariski.exact import as_vector, gram_matrix, solve_symmetric
@@ -162,15 +160,7 @@ def test_dimension_mismatch_rejected(s1):
         decompose(s1, [1, 2, 3])
 
 
-# -- wrappers ----------------------------------------------------------------
-
-
-def test_wrappers_agree_with_decompose(s2):
-    alpha = [1, 2, 1]
-    d = decompose(s2, alpha)
-    assert zariski_projection(s2, alpha) == d.positive_part
-    assert negative_part(s2, alpha) == dict(d.negative_coeffs)
-    assert chamber_of(s2, alpha) == d.support
+# -- volume and bigness -------------------------------------------------------
 
 
 def test_volume_examples(s1, s2):
@@ -195,6 +185,23 @@ def test_volume_refuses_a_power_past_the_digit_limit():
     with pytest.raises(OverflowError, match="more than"):
         volume(model, [3, 1])  # q(Z, Z) = 9
     assert volume(model, [1, 0]) == 1
+
+
+def test_volume_digit_guard_boundary():
+    """``3 * (bits - 1) * m >= 10 * limit`` refuses the power.
+
+    At the 4300-digit limit, q(Z, Z) = 2**14332 passes (3 * 14332 < 43000)
+    and 2**14334 does not (3 * 14334 >= 43000).
+    """
+    model = cone_model([[1]], {}, [1])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert volume(model, [2**7166]) == 2**14332
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            volume(model, [2**7167])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_is_big_examples(s1):
@@ -299,6 +306,13 @@ def test_the_walk_takes_only_schur_steps_it_reads(monkeypatch, pool):
             assert all(kept >= 2 and grown <= cap - 2 for kept, grown in steps)
 
 
+def test_enumerate_families_skips_a_prime_of_square_zero():
+    """On F_1 the fibre f = H - E has f**2 = 0, so no family holds it."""
+    model = cone_model([[1, 0], [0, -1]], {"E": [0, 1], "f": [1, -1]}, [2, -1])
+    assert model.validate().ok
+    assert enumerate_exceptional_families(model) == [(), ("E",)]
+
+
 def test_enumerate_families_ignores_positive_rescaling(pool):
     """Fraction Grams (form/6, primes/3) give the same walk as integer ones."""
     for _, model, _ in pool:
@@ -337,6 +351,34 @@ def test_verify_certificate_flags_unknown_prime(s1):
         s1, as_vector([1, 0]), as_vector([1, 0]), {"ghost": Q(1)}
     )
     assert any("unknown prime" in v for v in violations)
+
+
+def test_verify_certificate_flags_failed_reconstruction(affine_a2):
+    _, violations = verify_certificate(
+        affine_a2, as_vector([0, 0, 1, 1]), as_vector([0, 0, 0, 1]),
+        {"c1": Q(1), "c2": Q(1)},
+    )
+    assert any("reconstruction failed" in v for v in violations)
+
+
+def test_verify_certificate_reads_support_below_one(affine_a2):
+    """Coefficients 1/2 on the singular cycle c1 + c2 + c3 put all three in the support."""
+    cert, violations = verify_certificate(
+        affine_a2, as_vector([Q(1, 2), 0, 0, 0]), as_vector([0, 0, 0, 0]),
+        {"c1": Q(1, 2), "c2": Q(1, 2), "c3": Q(1, 2)},
+    )
+    assert not cert.gram_negative_definite_checked
+    assert violations == ["support Gram matrix is not negative definite"]
+
+
+def test_verify_certificate_accepts_a_zero_coefficient(affine_a2):
+    """A zero coefficient is effective and leaves its prime out of the support."""
+    cert, violations = verify_certificate(
+        affine_a2, as_vector([0, 0, 1, 1]), as_vector([0, 0, 0, 0]),
+        {"c1": Q(1), "c2": Q(1), "c3": Q(0)},
+    )
+    assert cert.all_passed
+    assert violations == []
 
 
 def test_verify_certificate_clean_result_has_no_violations(s2):

@@ -1,5 +1,6 @@
-"""Every module uses each name it imports; the library reads no environment;
-each script runs; the package loads a submodule only when one of its names is used."""
+"""Every module uses each name it imports; the library reads no environment and
+uses each private helper it defines; each script runs; the package loads a
+submodule only when one of its names is used."""
 from __future__ import annotations
 
 import ast
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import zariski
 
 ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src/zariski").glob("*.py"))
 MODULES = sorted(p for d in ("src/zariski", "scripts", "tests") for p in (ROOT / d).glob("*.py"))
 
 
@@ -35,9 +38,7 @@ def test_no_unused_imports(path):
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
-@pytest.mark.parametrize(
-    "path", sorted((ROOT / "src/zariski").glob("*.py")), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_library_reads_no_environment(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     reads = [
@@ -49,6 +50,41 @@ def test_library_reads_no_environment(path):
         and any(alias.name in ENVIRONMENT_READS for alias in node.names)
     ]
     assert reads == []
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often each name is read, looked up as an attribute or imported under `node`."""
+    found: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    """A module-level ``_name`` that nothing in the library reads, outside its
+    own definition, is a leftover."""
+    library = sum((_mentions(ast.parse(p.read_text(encoding="utf-8"))) for p in LIBRARY),
+                  Counter())
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own = _mentions(node)
+        unused += [name for name in names if name.startswith("_")
+                   and not name.startswith("__") and library[name] == own[name]]
+    assert unused == []
 
 
 def _layer_functions() -> dict:
@@ -166,7 +202,7 @@ def test_each_public_name_is_its_home_modules_object():
 def test_star_import_and_dir_cover_every_public_name():
     namespace: dict = {}
     exec("from zariski import *", namespace)
-    assert len(zariski.__all__) == 61
+    assert len(zariski.__all__) == 58
     assert set(zariski.__all__) <= set(namespace)
     assert set(zariski.__all__) <= set(dir(zariski))
 

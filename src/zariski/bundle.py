@@ -49,13 +49,12 @@ def _as_scalar(x) -> Scalar:
     return Fraction(x)
 
 
-def _common_radicand(values: Sequence[Scalar]) -> int:
+def _common_radicand(values: Sequence[Scalar]) -> None:
     ds = {v.d for v in values if isinstance(v, QuadExt) and v.d}
     if len(ds) > 1:
         raise MixedRadicandError(
             f"classes mix distinct radicands {sorted(ds)}"
         )
-    return ds.pop() if ds else 0
 
 
 @dataclass(frozen=True)

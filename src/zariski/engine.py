@@ -149,7 +149,7 @@ def verify_certificate(
 
     effective = all(c >= 0 for c in negative_coeffs.values())
     if not effective:
-        bad = {n: str(c) for n, c in negative_coeffs.items() if c < 0}
+        bad = {n: describe(c) for n, c in negative_coeffs.items() if c < 0}
         violations.append(f"negative part has negative coefficients: {bad}")
 
     dual_nef = model.is_dual_nef(positive_part)

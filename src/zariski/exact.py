@@ -468,51 +468,40 @@ def signature(form: SymmetricForm) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
-def _eliminate(gram: SymmetricForm, rhs: Sequence = ()) -> list[list[Fraction]] | None:
-    """``[gram | rhs]`` made upper triangular, or ``None`` if `gram` is not
-    negative definite.
-
-    Without row exchanges the pivots are ratios of leading principal minors,
-    so `gram` is negative definite iff every pivot is negative (Sylvester's
-    criterion); the pass stops at the first pivot that is not.
-    """
-    n = gram.rank
-    aug = [list(row) for row in gram.entries]
-    for row, b in zip(aug, rhs):
-        row.append(Fraction(b))
-    for k in range(n):
-        p = aug[k][k]
-        if p >= 0:
-            return None
-        for i in range(k + 1, n):
-            if aug[i][k]:
-                f = aug[i][k] / p
-                for j in range(k, len(aug[k])):
-                    aug[i][j] -= f * aug[k][j]
-    return aug
-
-
 def is_negative_definite(gram: SymmetricForm) -> bool:
-    """Exact negative-definiteness test via pivot signs."""
-    return _eliminate(gram) is not None
+    """Exact negative-definiteness test: the inertia is ``(0, rank, 0)``."""
+    return signature(gram) == (0, gram.rank, 0)
 
 
 def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
     """Solve ``gram * x = rhs`` exactly for a negative definite `gram`.
 
     Returns ``None`` when `gram` is not negative definite; the same pass
-    decides that and solves.
+    decides that and solves.  On ``G = scale * gram`` and ``b = den * rhs``
+    cleared to integers, :func:`schur_complement` steps at the leading entry
+    of ``[[G, b], [b^T, 0]]`` have the leading principal minors of ``G`` as
+    pivots, whose signs alternate from negative iff `gram` is negative
+    definite (Sylvester's criterion).  Back-substitution along the pivot rows
+    solves ``G * y = b`` in integers: ``z = det(G) * y`` is integral (Cramer's
+    rule), so each division is exact, and ``x = z * scale / (det(G) * den)``.
     """
     n = gram.rank
     if len(rhs) != n:
         raise DimensionMismatchError(
             f"right-hand side of length {len(rhs)} against a rank-{n} matrix"
         )
-    aug = _eliminate(gram, rhs)
-    if aug is None:
-        return None
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = aug[k][n] - sum(aug[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = acc / aug[k][k]
-    return tuple(x)
+    rows, scale = gram.cleared
+    b, den = clear_denominators(map(Fraction, rhs))
+    m = [[*row, bi] for row, bi in zip(rows, b)] + [[*b, 0]]
+    pivot_rows, prev = [], 1
+    while len(m) > 1:
+        p = m[0][0]
+        if p * prev >= 0:
+            return None
+        pivot_rows.append(m[0])
+        m = schur_complement(m, 0, range(1, len(m)), prev)
+        prev = p
+    z: tuple[int, ...] = ()
+    for row in reversed(pivot_rows):
+        z = ((prev * row[-1] - dot(row[1:-1], z)) // row[0], *z)
+    return tuple(Fraction(v * scale, prev * den) for v in z)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zariski import (
+    ConeModel,
     Decomposition,
     DimensionMismatchError,
     InternalInconsistencyError,
@@ -346,6 +347,17 @@ def test_verify_certificate_flags_negative_coefficient(s1):
     assert any("negative coefficients" in v for v in violations)
 
 
+def test_verify_certificate_reports_a_coefficient_past_the_digit_limit(s1):
+    """The negative-coefficient message is built with `describe`, so a
+    coefficient too long for ``str`` is reported by its size, not raised."""
+    c = Q(-(10**4400))
+    cert, violations = verify_certificate(s1, (1, 2), (1, 2 - c), {"E": c})
+    assert not cert.effectivity_checked
+    assert any(
+        "negative coefficients" in v and "<a number of" in v for v in violations
+    )
+
+
 def test_verify_certificate_flags_unknown_prime(s1):
     _, violations = verify_certificate(
         s1, as_vector([1, 0]), as_vector([1, 0]), {"ghost": Q(1)}
@@ -395,6 +407,7 @@ def test_verify_certificate_clean_result_has_no_violations(s2):
 
 def assert_oracle_agrees(model, alpha, d):
     b = brute_force_decompose(model, alpha)
+    assert b.iterations == 0
     assert b.positive_part == d.positive_part
     assert dict(b.negative_coeffs) == {
         n: c for n, c in d.negative_coeffs.items() if c > 0
@@ -520,6 +533,26 @@ def test_oracle_cross_checks_the_walk(affine_a2, monkeypatch):
                         lambda model: walk(model) + [("c1", "c2", "c3")])
     with pytest.raises(InternalInconsistencyError, match="not negative definite"):
         brute_force_decompose(affine_a2, [1, 1, 0, 0])
+
+
+def test_engine_and_oracle_raise_when_their_certificate_fails(s1, monkeypatch):
+    real = engine.verify_certificate
+    monkeypatch.setattr(engine, "verify_certificate",
+                        lambda *args: (real(*args)[0], ["tampered"]))
+    with pytest.raises(InternalInconsistencyError,
+                       match="post-solve certificate verification failed: tampered"):
+        decompose(s1, [1, 2])
+    with pytest.raises(OracleUniquenessError,
+                       match="exhaustive candidate failed verification: tampered"):
+        brute_force_decompose(s1, [1, 2])
+
+
+def test_oracle_refuses_two_surviving_candidates(s1, monkeypatch):
+    """With every remainder called dual-nef, both the empty family and {E}
+    survive for (1, 2)."""
+    monkeypatch.setattr(ConeModel, "is_dual_nef", lambda self, v: True)
+    with pytest.raises(OracleUniquenessError, match="2 distinct decompositions survived"):
+        brute_force_decompose(s1, (1, 2))
 
 
 def test_engine_and_oracle_refuse_a_model_that_breaks_the_axioms():

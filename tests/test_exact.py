@@ -383,6 +383,8 @@ def test_solve_symmetric_examples():
     assert solve_symmetric(g, [-3, 0]) == (Q(2), Q(1))
     g2 = symmetric_form([[-2, 0], [0, -2]])
     assert solve_symmetric(g2, [-2, -4]) == (Q(1), Q(2))
+    # any value Fraction() takes is a right-hand side entry
+    assert solve_symmetric(g2, ["-1/2", Q(-4)]) == (Q(1, 4), Q(2))
     # an indefinite system is refused, not solved
     g3 = symmetric_form([[0, 1], [1, 0]])
     assert solve_symmetric(g3, [2, 3]) is None
@@ -543,7 +545,7 @@ def test_negative_definite_agrees_with_signature(seed, n):
     """Two independent code paths must agree on definiteness."""
     rng = random.Random(seed)
     form = _random_symmetric(rng, n)
-    assert is_negative_definite(form) == (signature(form) == (0, n, 0))
+    assert is_negative_definite(form) == (_reference_signature(form) == (0, n, 0))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 5))
@@ -596,6 +598,69 @@ def test_solve_symmetric_solves_exactly_the_negative_definite_systems(seed, n):
     if x is not None:
         for i in range(n):
             assert sum(g.entries[i][j] * x[j] for j in range(n)) == rhs[i]
+
+
+def _congruent_diagonal(rng: random.Random, diag):
+    """``U^T D U`` for ``D = diag(diag)`` and a random unit upper triangular
+    rational ``U``: its k-th leading principal minor is ``diag[0] * ... * diag[k-1]``."""
+    n = len(diag)
+    u = [
+        [Q(rng.randint(-3, 3), rng.randint(1, 3)) if j > i else Q(int(i == j))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return symmetric_form(
+        [
+            [sum(u[l][i] * diag[l] * u[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _elimination_cases(rng: random.Random, n: int):
+    """Rank-`n` forms with rational entries that reach every exit of the
+    elimination: random and sparse ones (mostly indefinite, often with zero
+    pivots), negative definite ones, ones whose leading minors fail only at
+    the last pivot (zero or of the wrong sign), ones with a zero leading
+    entry, and singular semidefinite Grams of fewer than `n` vectors."""
+    yield _random_symmetric(rng, n)
+    yield _sparse_symmetric(rng, n)
+    neg = [-Q(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n)]
+    definite = _congruent_diagonal(rng, neg)
+    yield definite
+    if n:
+        yield _congruent_diagonal(rng, neg[:-1] + [Q(0)])
+        yield _congruent_diagonal(rng, neg[:-1] + [Q(rng.randint(1, 5), rng.randint(1, 4))])
+        rows = [list(row) for row in definite.entries]
+        rows[0][0] = Q(0)
+        yield symmetric_form(rows)
+        m = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(rng.randint(0, n - 1))]
+        yield symmetric_form(
+            [[-sum(row[i] * row[j] for row in m) for j in range(n)] for i in range(n)]
+        )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_one_elimination_matches_the_reference_reduction(n):
+    """`is_negative_definite` agrees with the test-side Fraction reduction, and
+    `solve_symmetric` solves, with Fractions, exactly the negative definite
+    systems, for integer and rational right-hand sides."""
+    rng = random.Random(n)
+    for _ in range(25):
+        for g in _elimination_cases(rng, n):
+            definite = _reference_signature(g) == (0, n, 0)
+            assert is_negative_definite(g) == definite
+            for rhs in (
+                [rng.randint(-5, 5) for _ in range(n)],
+                [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],
+            ):
+                x = solve_symmetric(g, rhs)
+                assert (x is None) == (not definite)
+                if x is not None:
+                    assert all(type(v) is Q for v in x)
+                    for i in range(n):
+                        assert sum(g.entries[i][j] * x[j] for j in range(n)) == rhs[i]
 
 
 def test_gram_matrix():

@@ -30,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tarfile
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    # a stop by SIGTERM unwinds like Ctrl-C: subprocess.run kills the running
+    # child, and the parent's export directory is removed on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, metrics = bench["run_seconds"], bench["end_to_end"]

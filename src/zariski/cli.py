@@ -32,7 +32,6 @@ from .serialize import (
     FormatError,
     Literals,
     _report_volume,
-    certificate_to_json,
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
@@ -170,7 +169,7 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
         "ok": not violations,
     }
     code = EXIT_OK if not violations else EXIT_CHECK_FAILED
-    return result, certificate_to_json(cert), code
+    return result, cert._asdict(), code
 
 
 def cmd_validate(args) -> tuple[dict, dict | None, int]:
@@ -328,13 +327,7 @@ def main(argv=None) -> int:
             report["result"] = result
             if certificate is not None:
                 report["certificate"] = certificate
-    except (
-        FormatError,
-        InvalidModelError,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
-    ) as exc:
+    except (FormatError, InvalidModelError, OSError) as exc:
         report["error"] = {"category": "invalid-input", "message": str(exc)}
         code = EXIT_INVALID_INPUT
     report["timing_ms"] = round((perf_counter() - started) * 1000, 3)

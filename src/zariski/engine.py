@@ -17,10 +17,9 @@ independent of the order in which primes are listed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .cone import ConeModel
 from .exact import (
@@ -68,8 +67,7 @@ class UnknownPrimeError(KeyError):
     """A prime name does not occur in the model."""
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Booleans recording which invariants were re-verified on the result."""
 
     orthogonality_checked: bool
@@ -79,18 +77,22 @@ class Certificate:
 
     @property
     def all_passed(self) -> bool:
-        return all(getattr(self, f.name) for f in fields(self))
+        return all(self)
 
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """Result of a decomposition: ``alpha = positive_part + negative part``."""
+    """Result of a decomposition: ``alpha = positive_part + negative part``.
+
+    A result exists only once all four invariants re-checked, so its
+    certificate is the one all-passed value, held by the class.
+    """
 
     alpha: Vector
     positive_part: Vector
     negative_coeffs: Mapping[str, Fraction]
     iterations: int
-    certificate: Certificate
+    certificate: ClassVar[Certificate] = Certificate(True, True, True, True)
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -156,14 +158,7 @@ def verify_certificate(
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
-    return _certificate(orthogonal, negdef, effective, dual_nef), violations
-
-
-@cache
-def _certificate(*checked: bool) -> Certificate:
-    """The certificate with these booleans; it is immutable and takes at most
-    16 values, so results that hold equal certificates share one."""
-    return Certificate(*checked)
+    return Certificate(orthogonal, negdef, effective, dual_nef), violations
 
 
 def _project(
@@ -236,7 +231,7 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     if isinstance(solved, NotPseudoEffectiveError):
         raise solved
     positive, negative, rounds = solved
-    cert, violations = verify_certificate(model, alpha, positive, negative)
+    _, violations = verify_certificate(model, alpha, positive, negative)
     if violations:
         raise InternalInconsistencyError(
             "post-solve certificate verification failed: " + "; ".join(violations)
@@ -246,7 +241,6 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
         positive_part=positive,
         negative_coeffs=negative,
         iterations=rounds,
-        certificate=cert,
     )
 
 
@@ -398,7 +392,7 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
             f"search for {alpha}"
         )
     (residual, coeff_map), = survivors.values()
-    cert, violations = verify_certificate(model, alpha, residual, coeff_map)
+    _, violations = verify_certificate(model, alpha, residual, coeff_map)
     if violations:
         raise OracleUniquenessError(
             "exhaustive candidate failed verification: " + "; ".join(violations)
@@ -408,5 +402,4 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
         positive_part=residual,
         negative_coeffs=coeff_map,
         iterations=0,
-        certificate=cert,
     )

@@ -494,12 +494,13 @@ def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
     b, den = clear_denominators(map(Fraction, rhs))
     m = [[*row, bi] for row, bi in zip(rows, b)] + [[*b, 0]]
     pivot_rows, prev = [], 1
-    while len(m) > 1:
+    for k in range(n, 0, -1):  # k rows of G left in m
         p = m[0][0]
         if p * prev >= 0:
             return None
         pivot_rows.append(m[0])
-        m = schur_complement(m, 0, range(1, len(m)), prev)
+        if k > 1:  # the last step would only build the bordered corner
+            m = schur_complement(m, 0, range(1, len(m)), prev)
         prev = p
     z: tuple[int, ...] = ()
     for row in reversed(pivot_rows):

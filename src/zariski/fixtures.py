@@ -232,10 +232,9 @@ def _boundary_classes(model: ConeModel, rng: random.Random) -> list[tuple[int, .
         if root * root != disc:
             continue
         a = root - hav
+        # w != 0: a zero w makes v a multiple of H, so v·A·v >= 0
         w = [hah * x + a * y for x, y in zip(v, big_h)]
         g = gcd(*w)
-        if g == 0:
-            continue
         found.append(tuple(x // g for x in w))
     return found
 

@@ -8,14 +8,14 @@ they never feed back into any computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from typing import Any, Sequence
 
 from .cone import ConeModel, PrimeClass
-from .engine import Certificate, Decomposition, _volume
+from .engine import Decomposition, _volume
 from .exact import QuadExt, Scalar, SymmetricForm, Vector
 
 
@@ -190,14 +190,9 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
         },
         "support": list(dec.support),
         "volume": to_text(_report_volume(model, dec.positive_part)),
-        "certificate": certificate_to_json(dec.certificate),
+        "certificate": dec.certificate._asdict(),
         "iterations": dec.iterations,
     }
-
-
-def certificate_to_json(cert: Certificate) -> dict[str, bool]:
-    """The certificate's checks by name, in declaration order."""
-    return {f.name: getattr(cert, f.name) for f in fields(cert)}
 
 
 @dataclass(frozen=True)

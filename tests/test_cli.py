@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -258,6 +257,12 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
         (b'[["1", "2"], "1,2"]',
          ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
          "expected a list of rationals, got str"),
+        (b"{}", ["validate", "--model", "{file}/x.json"], "Not a directory"),
+        (b"{}", ["fixtures", "--spec", "3,2,7", "--out", "{file}/x.json"],
+         "Not a directory"),
+        (None, ["validate", "--model", "{dir}/loop"], "Too many levels of symbolic links"),
+        (None, ["validate", "--model", "{dir}/" + "x" * 300 + ".json"],
+         "File name too long"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
@@ -268,17 +273,23 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "utf8-bom", "huge-recomputed-volume-check", "non-boolean-certificate",
          "model-not-object", "model-lacks-fields", "form-not-square", "primes-not-object",
          "decomposition-not-object", "decomposition-lacks-fields",
-         "negative-part-not-object", "support-not-names", "class-not-list"],
+         "negative-part-not-object", "support-not-names", "class-not-list",
+         "model-under-a-file", "fixtures-out-under-a-file", "symlink-loop",
+         "name-too-long"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_bytes(content)
+    (tmp_path / "loop").symlink_to("loop")
     # the huge base's radicand has no prime factor below the trial-division bound
     warns = (pytest.warns(CanonicalizationWarning) if argv[0] == "cutkosky"
              else contextlib.nullcontext())
     with warns:
-        code, report = run_cli([a.replace("{file}", str(path)) for a in argv], capsys)
+        code, report = run_cli(
+            [a.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for a in argv],
+            capsys,
+        )
     assert code == 3
     assert report["error"]["category"] == "invalid-input"
     assert fragment in report["error"]["message"]
@@ -534,7 +545,7 @@ def test_decomposition_document_round_trip(s2):
     assert doc.negative_coeffs == dict(d.negative_coeffs)
     assert doc.support == d.support
     assert doc.iterations == d.iterations
-    assert doc.certificate == asdict(d.certificate)
+    assert doc.certificate == d.certificate._asdict()
 
 
 # -- literals --------------------------------------------------------------------

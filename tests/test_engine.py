@@ -107,7 +107,11 @@ def test_results_are_lean(s1):
     d = decompose(s1, alpha)
     assert d.alpha is alpha
     assert not hasattr(d, "__dict__")
+    assert d.certificate is Decomposition.certificate
+    assert isinstance(d.certificate, tuple)
     assert not hasattr(d.certificate, "__dict__")
+    assert [f.name for f in fields(Decomposition)] == [
+        "alpha", "positive_part", "negative_coeffs", "iterations"]
 
 
 def test_support_is_read_from_the_coefficients(s1):

@@ -16,6 +16,7 @@ from zariski import (
     MixedRadicandError,
     QuadExt,
     as_vector,
+    exact,
     gram_matrix,
     inner,
     is_negative_definite,
@@ -182,6 +183,30 @@ def test_quadext_comparisons():
     assert QuadExt(-1, 1, 2) > 0  # sqrt(2) > 1
     assert QuadExt(-2, 1, 2) < 0
     assert sorted([Q(1), r2, Q(2)]) == [Q(1), r2, Q(2)]
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda q: q + "x", TypeError),
+        (lambda q: "x" - q, TypeError),
+        (lambda q: q * None, TypeError),
+        (lambda q: q < "x", TypeError),
+        (lambda q: q == "x", False),
+        (lambda q: hash(QuadExt(1, 2, 8)) == hash(QuadExt(1, 4, 2)), True),
+        (lambda q: not QuadExt(0, 0, 3), True),
+        (lambda q: bool(QuadExt(0, 1, 3)), True),
+    ],
+    ids=["add-str", "str-sub", "mul-none", "lt-str", "eq-str", "irrational-hash",
+         "zero-is-falsy", "irrational-is-truthy"],
+)
+def test_quadext_foreign_operands_hash_and_truth(op, expected):
+    q = QuadExt(1, 1, 2)
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            op(q)
+    else:
+        assert op(q) is expected
 
 
 def test_quadext_zero_with_square_radicand_beyond_bound():
@@ -394,6 +419,23 @@ def test_solve_symmetric_singular():
     assert solve_symmetric(symmetric_form([[1, 1], [1, 1]]), [1, 0]) is None
     with pytest.raises(DimensionMismatchError):
         solve_symmetric(symmetric_form([[1]]), [1, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_symmetric_skips_the_last_schur_step(n, monkeypatch):
+    steps = []
+
+    def spy(*args, **kwargs):
+        steps.append(args)
+        return schur_complement(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "schur_complement", spy)
+    g = symmetric_form([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                        for i in range(n)])
+    x = solve_symmetric(g, list(range(1, n + 1)))
+    assert [sum(g.entries[i][j] * x[j] for j in range(n)) for i in range(n)] == list(
+        range(1, n + 1))
+    assert len(steps) == n - 1
 
 
 def _random_symmetric(rng: random.Random, n: int):

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Run the benchmark on alternating parent/change pairs and summarize them.
 
-The parent commit's files are exported with ``git archive`` into a temporary
-directory, as a fresh checkout would hold them; the change is the working
-tree this script lives in.  The workloads and the run length are those of
-``BENCHMARK.json`` (``workloads``, ``run_seconds``).  Each pair runs
-``perfbench/run.py`` unchanged, once in each tree, with the same seed; the
-side that goes first alternates from pair to pair.  The summary gives, per
+Both sides run from ``git archive`` exports in a temporary directory, as a
+fresh checkout would hold them: the parent from its commit, the change from
+a snapshot of the working tree this script lives in (every file that is not
+ignored, committed or not), so files that running leaves in the checkout,
+such as ``perfbench/out/``, reach neither side.  The workloads and the run
+length are those of ``BENCHMARK.json`` (``workloads``, ``run_seconds``).
+Each pair runs ``perfbench/run.py`` unchanged, once in each tree, with the
+same seed; the side that goes first alternates from pair to pair.  The summary gives, per
 workload and end-to-end metric (the ``end_to_end`` list), the median and
 quartiles of each side, the relative change of the medians, and how many
 pairs the change won.  It is rewritten after every pair, so an interrupted
 sweep keeps what it measured.
 
 The record names the measured change by ``src_tree``, the git tree hash of
-``src`` as it stood in the working tree; once the change is committed,
+``src`` in that snapshot; once the change is committed,
 ``git rev-parse <commit>:src`` gives the same hash.
 
 Usage:
@@ -47,16 +49,16 @@ def git(*args: str, env: dict | None = None) -> str:
                           capture_output=True, env=env).stdout.strip()
 
 
-def src_tree() -> str:
-    """Tree hash of the working tree's ``src``, built in a scratch index."""
+def snapshot() -> str:
+    """Tree hash of the whole working tree, built in a scratch index."""
     with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
-        git("add", "--all", "src", env=env)
-        return git("write-tree", "--prefix=src/", env=env)
+        git("add", "--all", env=env)
+        return git("write-tree", env=env)
 
 
 def export(rev: str, dest: Path) -> None:
-    """The committed files of `rev`, written under `dest`."""
+    """The files of the commit or tree `rev`, written under `dest`."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -119,15 +121,17 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be positive")
     # a stop by SIGTERM unwinds like Ctrl-C: subprocess.run kills the running
-    # child, and the parent's export directory is removed on the way out
+    # child, and both export directories are removed on the way out
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, metrics = bench["run_seconds"], bench["end_to_end"]
     parent_rev = git("rev-parse", args.parent)
+    change_tree = snapshot()
     record = {
         "parent": parent_rev,
-        "change": {"head": git("rev-parse", "HEAD"), "src_tree": src_tree(),
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "src_tree": git("rev-parse", f"{change_tree}:src"),
                    "uncommitted": bool(git("status", "--porcelain"))},
         "seconds": seconds,
         "seeds": list(range(args.seed, args.seed + args.pairs)),
@@ -135,13 +139,14 @@ def main(argv=None) -> int:
         "machine": None,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_tree, change_root = Path(tmp) / "parent", Path(tmp) / "change"
         export(parent_rev, parent_tree)
+        export(change_tree, change_root)
         for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for k, seed in enumerate(record["seeds"]):
-                sides = [("parent", parent_tree), ("change", ROOT)]
+                sides = [("parent", parent_tree), ("change", change_root)]
                 result = {"seed": seed, "first": sides[k % 2][0]}
                 for side, tree in sides if k % 2 == 0 else reversed(sides):
                     result[side] = run_once(tree, workload, seed, seconds)

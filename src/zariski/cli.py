@@ -21,8 +21,10 @@ from time import perf_counter
 
 from .cone import InvalidModelError
 from .engine import (
+    Decomposition,
     NotPseudoEffectiveError,
     _positive_part,
+    _volume,
     decompose,
     enumerate_exceptional_families,
     family_cap,
@@ -31,7 +33,6 @@ from .engine import (
 from .serialize import (
     FormatError,
     Literals,
-    _report_volume,
     decimal_approx,
     decomposition_from_json,
     decomposition_to_json,
@@ -157,12 +158,14 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
         violations.append(
             "stored support does not match the strictly positive coefficients"
         )
-    recomputed_volume = _report_volume(model, derived)
+    recomputed_volume = _volume(model, derived)
     volume_text = to_text(recomputed_volume)
     if recomputed_volume != doc.volume:
         violations.append(
             f"stored volume {doc.volume} differs from recomputed {volume_text}"
         )
+    if doc.certificate and doc.certificate != Decomposition.certificate._asdict():
+        violations.append("stored certificate is not the all-passed certificate")
     result = {
         "violations": violations,
         "volume_recomputed": volume_text,
@@ -327,7 +330,7 @@ def main(argv=None) -> int:
             report["result"] = result
             if certificate is not None:
                 report["certificate"] = certificate
-    except (FormatError, InvalidModelError, OSError) as exc:
+    except (FormatError, InvalidModelError, OSError, OverflowError) as exc:
         report["error"] = {"category": "invalid-input", "message": str(exc)}
         code = EXIT_INVALID_INPUT
     report["timing_ms"] = round((perf_counter() - started) * 1000, 3)

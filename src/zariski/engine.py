@@ -257,6 +257,7 @@ def _volume(model: ConeModel, positive_part: Vector) -> Fraction:
     for part in (qzz.numerator, qzz.denominator):
         if limit and 3 * (part.bit_length() - 1) * m >= 10 * limit:
             raise OverflowError(
+                "number too large to print: "
                 f"q(Z,Z)**m with m = {m} has more than {limit} digits"
             )
     return qzz**m

@@ -194,18 +194,14 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._unify(other)
-        if other is None:
+        if not isinstance(other, (QuadExt, int, Fraction)):
             return NotImplemented
-        d = self.d or other.d
-        return QuadExt._reduced(self.a - other.a, self.b - other.b, d)
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._unify(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        d = self.d or other.d
-        return QuadExt._reduced(other.a - self.a, other.b - self.b, d)
+        return -self + other
 
     def __mul__(self, other):
         other = self._unify(other)

@@ -170,17 +170,6 @@ def load_json(path: str | Path) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _report_volume(model: ConeModel, positive_part: Vector) -> Fraction:
-    """``q(Z, Z)**m``, refused before the power when it cannot be printed.
-
-    A smaller power past the int-to-str limit is refused when it is printed.
-    """
-    try:
-        return _volume(model, positive_part)
-    except OverflowError as exc:
-        raise FormatError(f"number too large to print: {exc}") from exc
-
-
 def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
     return {
         "alpha": vector_to_json(dec.alpha),
@@ -189,7 +178,7 @@ def decomposition_to_json(model: ConeModel, dec: Decomposition) -> dict:
             name: to_text(c) for name, c in dec.negative_coeffs.items()
         },
         "support": list(dec.support),
-        "volume": to_text(_report_volume(model, dec.positive_part)),
+        "volume": to_text(_volume(model, dec.positive_part)),
         "certificate": dec.certificate._asdict(),
         "iterations": dec.iterations,
     }

@@ -257,12 +257,17 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
         (b'[["1", "2"], "1,2"]',
          ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
          "expected a list of rationals, got str"),
+        (b'[["1", "2", "3"]]',
+         ["chambers", "--model", "data/s1.json", "--classes", "{file}"],
+         "expected a vector of length 2, got 3"),
         (b"{}", ["validate", "--model", "{file}/x.json"], "Not a directory"),
         (b"{}", ["fixtures", "--spec", "3,2,7", "--out", "{file}/x.json"],
          "Not a directory"),
         (None, ["validate", "--model", "{dir}/loop"], "Too many levels of symbolic links"),
         (None, ["validate", "--model", "{dir}/" + "x" * 300 + ".json"],
          "File name too long"),
+        (None, ["check", "--model", "data/s2.json", "--decomposition", "data/dec_s1.json"],
+         "decomposition vectors do not match the model rank 3"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
@@ -274,8 +279,8 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "model-not-object", "model-lacks-fields", "form-not-square", "primes-not-object",
          "decomposition-not-object", "decomposition-lacks-fields",
          "negative-part-not-object", "support-not-names", "class-not-list",
-         "model-under-a-file", "fixtures-out-under-a-file", "symlink-loop",
-         "name-too-long"],
+         "class-wrong-length", "model-under-a-file", "fixtures-out-under-a-file",
+         "symlink-loop", "name-too-long", "check-rank-mismatch"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -516,6 +521,38 @@ def test_decompose_report_passes_check(tmp_path, capsys):
     assert code == 0
     assert report["result"]["ok"] is True
     assert report["result"]["violations"] == []
+    assert all(report["certificate"].values())
+
+
+_ALL_PASSED = DEC_S1["certificate"]
+
+
+@pytest.mark.parametrize(
+    "certificate, violations",
+    [
+        ({"orthogonality_checked": False, "bogus": True},
+         ["stored certificate is not the all-passed certificate"]),
+        ({k: v for k, v in _ALL_PASSED.items() if k != "dual_nef_checked"},
+         ["stored certificate is not the all-passed certificate"]),
+        ({**_ALL_PASSED, "bogus": True},
+         ["stored certificate is not the all-passed certificate"]),
+        (None, []),
+    ],
+    ids=["false-and-unknown-key", "missing-key", "extra-key", "no-certificate"],
+)
+def test_check_refuses_a_stored_certificate_that_did_not_all_pass(
+    certificate, violations, tmp_path, capsys
+):
+    doc = {k: v for k, v in DEC_S1.items() if k != "certificate"}
+    if certificate is not None:
+        doc["certificate"] = certificate
+    stored = tmp_path / "dec.json"
+    stored.write_text(json.dumps(doc))
+    code, report = run_cli(
+        ["check", "--model", "data/s1.json", "--decomposition", str(stored)], capsys
+    )
+    assert report["result"]["violations"] == violations
+    assert code == (1 if violations else 0)
     assert all(report["certificate"].values())
 
 

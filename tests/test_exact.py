@@ -190,6 +190,7 @@ def test_quadext_comparisons():
     [
         (lambda q: q + "x", TypeError),
         (lambda q: "x" - q, TypeError),
+        (lambda q: q - "x", TypeError),
         (lambda q: q * None, TypeError),
         (lambda q: q < "x", TypeError),
         (lambda q: q == "x", False),
@@ -197,7 +198,7 @@ def test_quadext_comparisons():
         (lambda q: not QuadExt(0, 0, 3), True),
         (lambda q: bool(QuadExt(0, 1, 3)), True),
     ],
-    ids=["add-str", "str-sub", "mul-none", "lt-str", "eq-str", "irrational-hash",
+    ids=["add-str", "str-sub", "sub-str", "mul-none", "lt-str", "eq-str", "irrational-hash",
          "zero-is-falsy", "irrational-is-truthy"],
 )
 def test_quadext_foreign_operands_hash_and_truth(op, expected):

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .engine import InternalInconsistencyError, NotPseudoEffectiveError
-from .exact import MixedRadicandError, QuadExt, Scalar, quadratic_roots
+from .exact import QuadExt, Scalar, quadratic_roots
 
 
 class IrrationalClassError(ValueError):
@@ -36,25 +35,10 @@ def is_rational(x: Scalar) -> bool:
     return not isinstance(x, QuadExt) or x.is_rational
 
 
-def _demote(x: Scalar) -> Scalar:
-    """Collapse a rational QuadExt back to a plain Fraction."""
-    if isinstance(x, QuadExt) and x.is_rational:
-        return x.a
-    return x
-
-
 def _as_scalar(x) -> Scalar:
     if isinstance(x, QuadExt):
-        return x
+        return x.a if x.is_rational else x
     return Fraction(x)
-
-
-def _common_radicand(values: Sequence[Scalar]) -> None:
-    ds = {v.d for v in values if isinstance(v, QuadExt) and v.d}
-    if len(ds) > 1:
-        raise MixedRadicandError(
-            f"classes mix distinct radicands {sorted(ds)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -99,7 +83,7 @@ class BaseSurface:
 
 @dataclass(frozen=True)
 class BundleClass:
-    """The class ``t*L + pi*(x*D + y*H)`` on the bundle."""
+    """The class ``t*L + pi*(x*D + y*H)``; each field a ``Fraction`` unless irrational."""
 
     t: Scalar
     x: Scalar
@@ -110,9 +94,6 @@ class BundleClass:
         object.__setattr__(self, "x", _as_scalar(self.x))
         object.__setattr__(self, "y", _as_scalar(self.y))
 
-    def base_part(self) -> tuple[Scalar, Scalar]:
-        return (self.x, self.y)
-
 
 L = BundleClass(1, 0, 0)
 
@@ -121,16 +102,13 @@ def intersect3(
     base: BaseSurface, c1: BundleClass, c2: BundleClass, c3: BundleClass
 ) -> Scalar:
     """Exact triple intersection number of three bundle classes."""
-    _common_radicand(
-        [c1.t, c1.x, c1.y, c2.t, c2.x, c2.y, c3.t, c3.x, c3.y]
-    )
     l3 = base.d_sq - base.dh + base.h_sq  # (D-H)^2 + D.H
 
     def lsq_pair(g: tuple[Scalar, Scalar]) -> Scalar:
         # L^2 . pi*(g) = (D - H).g
         return g[0] * (base.d_sq - base.dh) + g[1] * (base.dh - base.h_sq)
 
-    g1, g2, g3 = c1.base_part(), c2.base_part(), c3.base_part()
+    g1, g2, g3 = (c1.x, c1.y), (c2.x, c2.y), (c3.x, c3.y)
     total = c1.t * c2.t * c3.t * l3
     total = total + c1.t * c2.t * lsq_pair(g3)
     total = total + c1.t * c3.t * lsq_pair(g2)
@@ -138,7 +116,7 @@ def intersect3(
     total = total + c1.t * base.pair(g2, g3)
     total = total + c2.t * base.pair(g1, g3)
     total = total + c3.t * base.pair(g1, g2)
-    return _demote(total)
+    return _as_scalar(total)
 
 
 def _threshold_roots(base: BaseSurface, w: tuple[Scalar, Scalar]) -> tuple[QuadExt, ...]:
@@ -199,7 +177,6 @@ def decompose_bundle(
             "only rational classes are supported outside the nef cone; "
             f"got {alpha}"
         )
-    t, x, y = Fraction(_demote(t)), Fraction(_demote(x)), Fraction(_demote(y))
 
     roots = _threshold_roots(base, (x, y - t))
     s = roots[-1] if roots else None
@@ -207,8 +184,7 @@ def decompose_bundle(
         raise InternalInconsistencyError(
             f"no nef negative-part coefficient in (0, {t}] for {alpha} over {base}"
         )
-    z = BundleClass(_demote(t - s), _demote(x + s), _demote(y))
-    return z, _demote(s)
+    return BundleClass(t - s, x + s, y), _as_scalar(s)
 
 
 def volume_L(base: BaseSurface) -> Scalar:

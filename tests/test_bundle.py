@@ -109,6 +109,36 @@ def test_intersection_accepts_shared_radicand_and_rejects_mixed():
         intersect3(base, c, bad, L)
 
 
+def test_intersection_with_a_zero_factor_never_mixes_radicands():
+    """sqrt(3) and sqrt(2) sit in different classes, and every term that would
+    multiply them carries a zero factor, so the value is exact."""
+    base = BaseSurface(1, 2, 1)
+    c1 = BundleClass(QuadExt(0, 1, 3), 0, 0)
+    c2 = BundleClass(0, QuadExt(0, 1, 2), 0)
+    v = intersect3(base, c1, c2, BundleClass(0, 0, 0))
+    assert v == 0 and type(v) is Q
+
+
+# -- the normal form of a bundle value -------------------------------------------
+
+
+def test_bundle_fields_are_fractions_unless_irrational():
+    c = BundleClass(QuadExt(1), QuadExt(2, 3, 5), 0)
+    assert [type(v) for v in (c.t, c.x, c.y)] == [Q, QuadExt, Q]
+    assert c == BundleClass(1, QuadExt(2, 3, 5), 0)
+
+
+@pytest.mark.parametrize("pairings", [(1, 1, 1), (1, 2, 1), (4, 2, 1)], ids=str)
+def test_rational_quadext_fields_decompose_like_fractions(pairings):
+    base = BaseSurface(*pairings)
+    for t, x, y in ((1, 0, 0), (0, 1, 0), (2, -1, 0), (2, Q(1, 2), 1)):
+        plain = decompose_bundle(base, BundleClass(t, x, y))
+        lifted = decompose_bundle(base, BundleClass(QuadExt(t), QuadExt(x), QuadExt(y)))
+        assert lifted == plain
+        (z, s), (z0, s0) = lifted, plain
+        assert [type(v) for v in (z.t, z.x, z.y, s)] == [type(v) for v in (z0.t, z0.x, z0.y, s0)]
+
+
 # -- nef thresholds --------------------------------------------------------------
 
 
@@ -175,6 +205,13 @@ def test_not_pseudo_effective_bundle_classes():
     with pytest.raises(NotPseudoEffectiveError) as err:
         decompose_bundle(base, BundleClass(0, -1, 0))
     assert err.value.reason == "base-projection-outside-nef"
+
+
+def test_pseudo_effectivity_reads_the_base_projection_at_the_fiber_end():
+    """``(x + t)D + yH`` is nef here while ``xD + yH`` is not, so the class is
+    decomposed rather than refused."""
+    z, s = decompose_bundle(BaseSurface(1, 1, 1), BundleClass(1, Q(-1, 2), 0))
+    assert (z, s) == (BundleClass(Q(1, 4), Q(1, 4), 0), Q(3, 4))
 
 
 def test_irrational_class_outside_nef_cone_is_rejected():

@@ -231,6 +231,8 @@ def test_quadext_str_and_json_round_trip():
     assert str(x) == "1/2 - 1/6*sqrt(3)"
     assert str(QuadExt(0, 1, 2)) == "sqrt(2)"
     assert str(QuadExt(7)) == "7"
+    assert str(QuadExt(0, -1, 3)) == "-sqrt(3)"
+    assert str(QuadExt(2, -1, 3)) == "2 - sqrt(3)"
 
 
 @given(rationals, rationals, rationals, rationals, radicands)

@@ -87,6 +87,24 @@ def test_every_private_helper_is_used(path):
     assert unused == []
 
 
+def _raised(tree: ast.AST) -> set:
+    """Names of the exception classes a module raises."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return raised
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_only_quadext_refuses_mixed_radicands(path):
+    """One owner of the radicand rule: the ``QuadExt`` operation that mixes two
+    radicands raises, and no other module checks for it first."""
+    raises = "MixedRadicandError" in _raised(ast.parse(path.read_text(encoding="utf-8")))
+    assert raises == (path.name == "exact.py")
+
+
 def _layer_functions() -> dict:
     """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
     tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))

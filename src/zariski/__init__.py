@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bundle": """BaseSurface BundleClass IrrationalClassError decompose_bundle
-        intersect3 is_rational mu_candidates mu_L volume_L""",
+        intersect3 is_rational mu_L volume_L""",
     "cone": "ConeModel InvalidModelError PrimeClass ValidationReport cone_model",
     "engine": """Certificate Decomposition InternalInconsistencyError
-        NotPseudoEffectiveError OracleUniquenessError UnknownPrimeError
-        brute_force_decompose decompose enumerate_exceptional_families is_big
-        is_exceptional_family verify_certificate volume""",
+        NotPseudoEffectiveError OracleUniquenessError brute_force_decompose
+        decompose enumerate_exceptional_families verify_certificate volume""",
     "exact": """CanonicalizationWarning DegeneratePolynomialError
         DimensionMismatchError MixedRadicandError QuadExt SymmetricForm Vector
         as_vector gram_matrix inner is_negative_definite quadratic_roots

@@ -119,16 +119,13 @@ def intersect3(
     return _as_scalar(total)
 
 
-def _threshold_roots(base: BaseSurface, w: tuple[Scalar, Scalar]) -> tuple[QuadExt, ...]:
-    """Roots of ``(w + s(D + H))^2 = 0`` in ``s``, ascending."""
+def _threshold_roots(base: BaseSurface, alpha: BundleClass) -> tuple[QuadExt, ...]:
+    """Roots of ``g(s)^2 = 0`` in ``s``, ascending, for the base class
+    ``g(s) = w + s(D + H)`` of :func:`decompose_bundle`, ``w = xD + (y - t)H``."""
+    w = (alpha.x, alpha.y - alpha.t)
     return quadratic_roots(
         base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
     )
-
-
-def mu_candidates(base: BaseSurface) -> tuple[QuadExt, ...]:
-    """Both roots of the threshold quadratic, ascending (diagnostics)."""
-    return _threshold_roots(base, (0, -1))
 
 
 def mu_L(base: BaseSurface) -> Scalar:
@@ -166,10 +163,7 @@ def decompose_bundle(
             q_ample=base.pair(projected, (1, 1)),
         )
 
-    def gamma(s: Scalar) -> tuple[Scalar, Scalar]:
-        return (x + s, y - t + s)
-
-    if base.in_nef_cone(gamma(0)):
+    if base.in_nef_cone((x, y - t)):  # g(0)
         return alpha, Fraction(0)
 
     if not (is_rational(t) and is_rational(x) and is_rational(y)):
@@ -178,9 +172,17 @@ def decompose_bundle(
             f"got {alpha}"
         )
 
-    roots = _threshold_roots(base, (x, y - t))
+    return _split_at_roots(base, alpha, _threshold_roots(base, alpha))
+
+
+def _split_at_roots(
+    base: BaseSurface, alpha: BundleClass, roots: tuple[QuadExt, ...]
+) -> tuple[BundleClass, Scalar]:
+    """The split of :func:`decompose_bundle` for a class ``alpha`` whose
+    ``g(0)`` is not nef, given the roots of its threshold quadratic."""
+    t, x, y = alpha.t, alpha.x, alpha.y
     s = roots[-1] if roots else None
-    if s is None or not (0 < s <= t and base.in_nef_cone(gamma(s))):
+    if s is None or not (0 < s <= t and base.in_nef_cone((x + s, y - t + s))):
         raise InternalInconsistencyError(
             f"no nef negative-part coefficient in (0, {t}] for {alpha} over {base}"
         )

@@ -106,8 +106,10 @@ def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
     from . import bundle  # the only command that uses it; the others never load it
 
     base = parse_base_literal(args.base)
-    roots = bundle.mu_candidates(base)
-    z, mu = bundle.decompose_bundle(base, bundle.L)
+    # L is pseudo-effective and its g(0) = -H is not nef on any base, so the
+    # one solve of L's threshold quadratic gives both the roots and the split
+    roots = bundle._threshold_roots(base, bundle.L)
+    z, mu = bundle._split_at_roots(base, bundle.L, roots)
     vol = bundle.intersect3(base, z, z, z)
     result = {
         "base": {

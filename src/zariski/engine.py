@@ -63,10 +63,6 @@ class OracleUniquenessError(AssertionError):
     """Exhaustive search found zero or multiple decomposition candidates."""
 
 
-class UnknownPrimeError(KeyError):
-    """A prime name does not occur in the model."""
-
-
 class Certificate(NamedTuple):
     """Booleans recording which invariants were re-verified on the result."""
 
@@ -270,23 +266,6 @@ def volume(model: ConeModel, alpha: Sequence) -> Fraction:
     than the interpreter's int-to-str limit.
     """
     return _volume(model, decompose(model, alpha).positive_part)
-
-
-def is_big(model: ConeModel, alpha: Sequence) -> bool:
-    """Whether the positive part lies in the open positive cone."""
-    p = decompose(model, alpha).positive_part
-    return model.q(p, p) > 0 and model.q(p, model.h) > 0
-
-
-def is_exceptional_family(model: ConeModel, names: Sequence[str]) -> bool:
-    """Whether the named primes have a negative definite Gram matrix."""
-    vec_of = model.prime_vec
-    vecs = []
-    for name in names:
-        if name not in vec_of:
-            raise UnknownPrimeError(name)
-        vecs.append(vec_of[name])
-    return is_negative_definite(gram_matrix(model.form, vecs))
 
 
 def family_cap(model: ConeModel, max_size: int | None) -> int:

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small models, the deterministic random pool, the
-reference vector sum and scaling the tests build classes with, and the
-reference list of del Pezzo exceptional families."""
+reference vector sum and scaling the tests build classes with, the naive
+exceptional-family filter, and the reference list of del Pezzo exceptional
+families."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from zariski import (
     gen_pseudoeffective_class,
     spec_grid,
 )
+from zariski.exact import gram_matrix, is_negative_definite
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +65,12 @@ def vec_add(u, v) -> tuple:
 def vec_scale(c, u) -> tuple:
     c = Fraction(c)
     return tuple(c * a for a in u)
+
+
+def is_exceptional_family(model: ConeModel, names) -> bool:
+    """The naive filter the family walk is checked against: whether the
+    named primes have a negative definite Gram matrix."""
+    return is_negative_definite(gram_matrix(model.form, [model.prime_vec[n] for n in names]))
 
 
 def grid_specs(count: int = 200) -> list[FixtureSpec]:

@@ -21,7 +21,6 @@ from zariski import (
     enumerate_exceptional_families,
     gen_model,
     gen_pseudoeffective_class,
-    is_exceptional_family,
     is_rational,
     load_model,
     mu_L,
@@ -33,7 +32,7 @@ from zariski.bundle import L
 from zariski.cli import main
 from zariski.exact import as_vector, gram_matrix, is_negative_definite
 
-from conftest import vec_add, vec_scale
+from conftest import is_exceptional_family, vec_add, vec_scale
 
 TESTS_DIR = Path(__file__).parent
 

@@ -19,7 +19,6 @@ from zariski import (
     intersect3,
     is_rational,
     mu_L,
-    mu_candidates,
     volume_L,
 )
 from zariski.bundle import L
@@ -148,11 +147,6 @@ def test_mu_examples():
     mu = mu_L(BaseSurface(1, 2, 1))
     assert mu == QuadExt(Q(1, 2), Q(1, 6), 3)
     assert not is_rational(mu)
-
-
-def test_mu_candidates_surfaces_both_roots():
-    roots = mu_candidates(BaseSurface(1, 2, 1))
-    assert roots == (QuadExt(Q(1, 2), Q(-1, 6), 3), QuadExt(Q(1, 2), Q(1, 6), 3))
 
 
 @pytest.mark.parametrize("base", rational_mu_bases(), ids=str)

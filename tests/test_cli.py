@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -715,8 +717,9 @@ def test_pretty_rendering_smoke(capsys):
 
 
 def test_cutkosky_solves_each_quadratic_once(monkeypatch, capsys):
-    """One threshold quadratic for the roots, one for the decomposition;
-    each radicand is reduced where a quadratic produces it, not again."""
+    """L's threshold quadratic is solved once, and that one solve gives both
+    the reported roots and the decomposition; its radicand is reduced where
+    the quadratic produces it, not again."""
     calls = Counter()
 
     def count(module, name):
@@ -733,4 +736,27 @@ def test_cutkosky_solves_each_quadratic_once(monkeypatch, capsys):
     count(exact, "split_square")
     code, _ = run_cli(["cutkosky", "--base", "1,2,1"], capsys)
     assert code == 0
-    assert calls == {"quadratic_roots": 2, "split_square": 2}
+    assert calls == {"quadratic_roots": 1, "split_square": 1}
+
+
+# sha256 of the 121 reports below, each as ``json.dumps(report, sort_keys=True)``
+# without its timing, fed in base order
+CUTKOSKY_SWEEP_DIGEST = "2d6369f33e3dd003e471e2d304687527f5bcb1f697d91677d9fb676aa6501328"
+
+
+def test_cutkosky_reports_over_the_sweep_are_pinned(capsys):
+    """Every admissible base with entries <= 6, the bases the benchmark's cli
+    workload runs: 8 whose quadratic has one root, 18 with two rational roots
+    and 95 with irrational ones, each report as it was first recorded."""
+    sweep_bases = runpy.run_path(str(TESTS_DIR.parent / "scripts/run_cutkosky.py"))["sweep_bases"]
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for base in sweep_bases(6):
+        code, report = run_cli(["cutkosky", "--base", base], capsys)
+        assert code == 0
+        report.pop("timing_ms")
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        roots = report["result"]["mu_roots"]
+        kinds[len(roots), all(isinstance(r, str) for r in roots)] += 1
+    assert kinds == {(1, True): 8, (2, True): 18, (2, False): 95}
+    assert digest.hexdigest() == CUTKOSKY_SWEEP_DIGEST

@@ -22,14 +22,11 @@ from zariski import (
     InvalidModelError,
     NotPseudoEffectiveError,
     OracleUniquenessError,
-    UnknownPrimeError,
     brute_force_decompose,
     cone_model,
     decompose,
     del_pezzo,
     enumerate_exceptional_families,
-    is_big,
-    is_exceptional_family,
     load_model,
     verify_certificate,
     volume,
@@ -37,7 +34,7 @@ from zariski import (
 from zariski import engine
 from zariski.exact import as_vector, gram_matrix, solve_symmetric
 
-from conftest import orthogonal_sets, vec_add, vec_scale
+from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
 
 DATA = Path(__file__).parent / "data"
 
@@ -209,10 +206,10 @@ def test_volume_digit_guard_boundary():
         sys.set_int_max_str_digits(limit)
 
 
-def test_is_big_examples(s1):
-    assert is_big(s1, [1, 2])
-    assert not is_big(s1, [0, 1])  # positive part is zero
-    assert not is_big(s1, [1, -1])  # positive part is isotropic
+def test_volume_vanishes_off_the_big_cone(s1):
+    assert volume(s1, [1, 2]) == 1
+    assert volume(s1, [0, 1]) == 0  # positive part is zero
+    assert volume(s1, [1, -1]) == 0  # positive part is isotropic
 
 
 # -- exceptional families ----------------------------------------------------
@@ -224,8 +221,6 @@ def test_exceptional_family_membership(s2, affine_a2):
     assert is_exceptional_family(s2, ["c1", "c2"])
     assert is_exceptional_family(affine_a2, ["c1", "c3"])
     assert not is_exceptional_family(affine_a2, ["c1", "c2", "c3"])
-    with pytest.raises(UnknownPrimeError):
-        is_exceptional_family(s2, ["zz"])
 
 
 def test_enumerate_families_rank3_chain(s2):
@@ -443,18 +438,23 @@ def test_oracle_matches_engine_on_del_pezzo():
             assert_oracle_agrees(model, alpha, decompose(model, alpha))
 
 
+def a_n_lattice(n: int, h) -> ConeModel:
+    """``I_{1,n+1}`` with the primes ``C_i = E_i - E_{i+1}``, i = 1..n."""
+    rank = n + 2
+    form = [[int(i == j) * (1 if i == 0 else -1) for j in range(rank)] for i in range(rank)]
+    chain = [(f"C{i}", [int(k == i) - int(k == i + 1) for k in range(rank)])
+             for i in range(1, n + 1)]
+    return cone_model(form, chain, h)
+
+
 def a_n_chain(n: int):
     """``C_i = E_i - E_{i+1}`` in ``I_{1,n+1}`` with ``h = (4n, -(n+1), ..., -1)``,
     and the class ``10n e_0 + sum c_i C_i`` whose pairings with the chain are
     ``(-3, 1/100, ..., 1/100)``."""
-    rank = n + 2
-    form = [[int(i == j) * (1 if i == 0 else -1) for j in range(rank)] for i in range(rank)]
-    chain = [[int(k == i) - int(k == i + 1) for k in range(rank)] for i in range(1, n + 1)]
-    model = cone_model(form, [(f"C{i + 1}", v) for i, v in enumerate(chain)],
-                       [4 * n] + [-k for k in range(n + 1, 0, -1)])
+    model = a_n_lattice(n, [4 * n] + [-k for k in range(n + 1, 0, -1)])
     targets = [Q(-3)] + [Q(1, 100)] * (n - 1)
     coeffs = solve_symmetric(gram_matrix(model.form, [p.vec for p in model.primes]), targets)
-    alpha = vec_scale(10 * n, as_vector([1] + [0] * (rank - 1)))
+    alpha = vec_scale(10 * n, as_vector([1] + [0] * (n + 1)))
     for c, p in zip(coeffs, model.primes):
         alpha = vec_add(alpha, vec_scale(c, p.vec))
     assert [model.q(alpha, p.vec) for p in model.primes] == targets
@@ -470,6 +470,20 @@ def test_a_n_chain_takes_one_round_per_curve(n):
     assert d.iterations == n
     assert d.support == model.prime_names()
     assert_oracle_agrees(model, alpha, d)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_a_n_chain_closed_form(n, t):
+    """``alpha = 3(n+1) e_0 - t E_{n+1}`` on the chain ``C_i = E_i - E_{i+1}`` of
+    ``I_{1,n+1}``: the negative part is ``sum t*i/(n+1) C_i``, which leaves
+    ``Z = 3(n+1) e_0 - t/(n+1) sum E_k`` orthogonal to every curve, reached in
+    one round per curve."""
+    model = a_n_lattice(n, [3 * (n + 1)] + list(range(1, n + 2)))
+    d = decompose(model, [3 * (n + 1)] + [0] * n + [-t])
+    assert d.iterations == n
+    assert d.negative_coeffs == {f"C{i}": Q(t * i, n + 1) for i in range(1, n + 1)}
+    assert d.positive_part == as_vector([3 * (n + 1)] + [Q(-t, n + 1)] * (n + 1))
 
 
 def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
@@ -600,6 +614,11 @@ def test_pool_support_is_exceptional_family(pool_decompositions):
         assert is_exceptional_family(model, d.support)
 
 
+def test_pool_round_histogram(pool_decompositions):
+    """How many rounds the 1000 pool cases take: most classes settle in one."""
+    assert Counter(d.iterations for _, _, d in pool_decompositions) == {1: 949, 2: 50, 3: 1}
+
+
 def test_pool_oracle_equivalence_sample(pool_decompositions):
     for model, alpha, d in pool_decompositions[:100]:
         b = brute_force_decompose(model, alpha)
@@ -659,10 +678,13 @@ def test_scaling_equivariance(pool_decompositions):
 
 
 def test_volume_positive_iff_big(pool_decompositions):
+    """Bigness, the positive part in the open positive cone, is volume > 0:
+    for Z in the closed cone, q(Z, Z) > 0 already forces q(Z, h) > 0."""
     for model, alpha, d in pool_decompositions[:200]:
         v = volume(model, alpha)
+        z = d.positive_part
         assert v >= 0
-        assert (v > 0) == is_big(model, alpha)
+        assert (v > 0) == (model.q(z, z) > 0 and model.q(z, model.h) > 0)
 
 
 # -- closed-form oracle for the rank-2 single-prime model ---------------------

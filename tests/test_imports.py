@@ -220,7 +220,7 @@ def test_each_public_name_is_its_home_modules_object():
 def test_star_import_and_dir_cover_every_public_name():
     namespace: dict = {}
     exec("from zariski import *", namespace)
-    assert len(zariski.__all__) == 58
+    assert len(zariski.__all__) == 54
     assert set(zariski.__all__) <= set(namespace)
     assert set(zariski.__all__) <= set(dir(zariski))
 

@@ -23,13 +23,13 @@ from .cone import InvalidModelError
 from .engine import (
     Decomposition,
     NotPseudoEffectiveError,
-    _positive_part,
     _volume,
     decompose,
     enumerate_exceptional_families,
     family_cap,
     verify_certificate,
 )
+from .exact import combine
 from .serialize import (
     FormatError,
     Literals,
@@ -146,7 +146,8 @@ def cmd_check(args) -> tuple[dict, dict | None, int]:
     # Re-derive the positive part from the raw class and the stored
     # coefficients, so tampering with either side is caught by the
     # certificate conditions themselves rather than trusted fields.
-    derived = _positive_part(model, doc.alpha, doc.negative_coeffs)
+    derived = combine(doc.alpha, ((-c, model.prime_vec[n])
+                                  for n, c in doc.negative_coeffs.items() if n in model.prime_vec))
     cert, violations = verify_certificate(
         model, doc.alpha, derived, doc.negative_coeffs
     )

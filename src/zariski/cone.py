@@ -121,6 +121,11 @@ class ConeModel:
         """Prime class vectors by name."""
         return {p.name: p.vec for p in self.primes}
 
+    @cached_property
+    def prime_position(self) -> dict[str, int]:
+        """The index of each prime in ``primes`` and ``compiled``, by name."""
+        return {p.name: i for i, p in enumerate(self.primes)}
+
     def prime_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.primes)
 
@@ -224,16 +229,19 @@ class ConeModel:
         pairings = (dot(a, image) for image in self.compiled.images)
         return tuple((x > 0) - (x < 0) for x in pairings)
 
+    def _closure_holds(self, a: Sequence[int]) -> bool:
+        """:meth:`in_positive_cone_closure` of a class already cleared to ``a``."""
+        c = self.compiled
+        return dot(a, c.qh) >= 0 and dot(a, [dot(row, a) for row in c.form]) >= 0
+
     def in_positive_cone_closure(self, alpha: Sequence) -> bool:
         """Closure of the positive half-cone selected by h."""
-        a, c = self._cleared(alpha), self.compiled
-        return dot(a, c.qh) >= 0 and dot(a, [dot(row, a) for row in c.form]) >= 0
+        return self._closure_holds(self._cleared(alpha))
 
     def is_dual_nef(self, alpha: Sequence) -> bool:
         """Positive-cone closure plus nonnegative pairing with every prime."""
-        if not self.in_positive_cone_closure(alpha):
-            return False
-        return all(s >= 0 for s in self.prime_signs(alpha))
+        a = self._cleared(alpha)
+        return self._closure_holds(a) and all(dot(a, p) >= 0 for p in self.compiled.images)
 
 
 def cone_model(

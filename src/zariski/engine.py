@@ -19,17 +19,20 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .cone import ConeModel
 from .exact import (
+    DimensionMismatchError,
     SymmetricForm,
     Vector,
     as_vector,
+    clear_denominators,
     combine,
     describe,
+    dot,
     gram_matrix,
-    inner,
     is_negative_definite,
     schur_complement,
     solve_symmetric,
@@ -96,16 +99,6 @@ class Decomposition:
         return tuple(n for n, c in self.negative_coeffs.items() if c > 0)
 
 
-def _positive_part(
-    model: ConeModel, alpha: Vector, negative_coeffs: Mapping[str, Fraction]
-) -> Vector:
-    """``alpha - sum(c * p)`` over the primes of `negative_coeffs` the model knows."""
-    vec_of = model.prime_vec
-    return combine(
-        alpha, ((-c, vec_of[n]) for n, c in negative_coeffs.items() if n in vec_of)
-    )
-
-
 def verify_certificate(
     model: ConeModel,
     alpha: Vector,
@@ -117,40 +110,50 @@ def verify_certificate(
     Returns the certificate booleans together with a human-readable list of
     violations (empty when everything holds).  The reconstruction identity
     is checked as well even though it is not part of the certificate type.
+    Each vector is cleared once: reconstruction is an integer identity, orthogonality
+    and dual-nef are signs against ``model.compiled``; the support's Gram is in Fractions.
     """
     violations: list[str] = []
-    vec_of = model.prime_vec
+    position, c = model.prime_position, model.compiled
     for name in negative_coeffs:
-        if name not in vec_of:
+        if name not in position:
             violations.append(f"unknown prime '{name}' in negative part")
-    usable = {n: c for n, c in negative_coeffs.items() if n in vec_of}
+    usable = {n: k for n, k in negative_coeffs.items() if n in position}
 
-    if _positive_part(model, alpha, negative_coeffs) != positive_part:
+    (a, da), (z, dz) = map(clear_denominators, (alpha, positive_part))
+    terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items() if k]
+    den = lcm(da, dz, *(q * c.dens[i] for _, q, i in terms))
+    total = combine(tuple(x * (den // da) for x in a),  # den * (alpha - negative part)
+                    ((-p * (den // (q * c.dens[i])), c.primes[i]) for p, q, i in terms))
+    if total != tuple(y * (den // dz) for y in z):
         violations.append(
             "reconstruction failed: positive part plus negative part "
             "does not equal the input class"
         )
+    if len(z) != model.rank:
+        raise DimensionMismatchError(f"positive part of length {len(z)}, rank {model.rank}")
 
+    pairings = [dot(z, image) for image in c.images]
     orthogonal = True
     for name in usable:
-        pairing = model.q(positive_part, vec_of[name])
-        if pairing != 0:
+        if pairings[position[name]]:
             orthogonal = False
+            pairing = model.q(positive_part, model.prime_vec[name])
             violations.append(
                 f"orthogonality violated: q(positive_part, {name}) = {describe(pairing)}"
             )
 
-    support_vecs = [vec_of[n] for n, c in usable.items() if c > 0]
-    negdef = is_negative_definite(gram_matrix(model.form, support_vecs))
+    support_vecs = [model.prime_vec[n] for n, k in usable.items() if k > 0]
+    negdef = not support_vecs or is_negative_definite(gram_matrix(model.form, support_vecs))
     if not negdef:
         violations.append("support Gram matrix is not negative definite")
 
-    effective = all(c >= 0 for c in negative_coeffs.values())
+    effective = all(k >= 0 for k in negative_coeffs.values())
     if not effective:
-        bad = {n: describe(c) for n, c in negative_coeffs.items() if c < 0}
+        bad = {n: describe(k) for n, k in negative_coeffs.items() if k < 0}
         violations.append(f"negative part has negative coefficients: {bad}")
 
-    dual_nef = model.is_dual_nef(positive_part)
+    dual_nef = model._closure_holds(z) and all(x >= 0 for x in pairings)
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
@@ -165,7 +168,10 @@ def _project(
     """
     if len(vecs) >= form.rank:  # not negative definite in signature (1, r - 1)
         return None
-    rhs = [inner(form, alpha, v) for v in vecs]
+    rows, scale = form.cleared
+    a, den = clear_denominators(alpha)  # once: rhs[i] = q(alpha, vecs[i])
+    image = [dot(row, a) for row in rows]
+    rhs = [Fraction(dot(image, v), scale * den * dv) for v, dv in map(clear_denominators, vecs)]
     if (coeffs := solve_symmetric(gram_matrix(form, vecs), rhs)) is None:
         return None
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))

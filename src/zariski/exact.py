@@ -297,11 +297,11 @@ def as_vector(coords: Iterable) -> Vector:
 
 def clear_denominators(vec: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """``(ints, den)`` with ``ints == den * vec``; ``den`` is the least positive one."""
-    vec = tuple(vec)
-    den = lcm(*(x.denominator for x in vec))
+    ratios = [x.as_integer_ratio() for x in vec]  # one read of each entry
+    den = lcm(*[d for _, d in ratios])
     if den == 1:
-        return tuple(x.numerator for x in vec), 1
-    return tuple(x.numerator * (den // x.denominator) for x in vec), den
+        return tuple([n for n, _ in ratios]), 1
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -384,13 +384,18 @@ def inner(form: SymmetricForm, u: Sequence, v: Sequence) -> Fraction:
 
 
 def gram_matrix(form: SymmetricForm, vectors: Sequence[Sequence]) -> SymmetricForm:
-    """Gram matrix of a family of vectors under `form`."""
-    k = len(vectors)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
+    """The :func:`inner` values of `vectors` under `form`: each vector is cleared
+    once and paired against the integer images ``(scale * Q) · v`` of the others."""
+    if any(len(v) != form.rank for v in vectors):
+        raise DimensionMismatchError(f"a vector of the family is not of length {form.rank}")
+    rows, scale = form.cleared
+    cleared = [clear_denominators(v) for v in vectors]
+    images = [[dot(row, v) for row in rows] for v, _ in cleared]
+    out = [[0] * len(vectors) for _ in vectors]
+    for i, (u, du) in enumerate(cleared):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = inner(form, vectors[i], vectors[j])
-    return SymmetricForm(tuple(tuple(row) for row in rows))
+            out[i][j] = out[j][i] = Fraction(dot(u, images[j]), scale * du * cleared[j][1])
+    return SymmetricForm(tuple(map(tuple, out)))
 
 
 def schur_complement(m: Sequence[Sequence[int]], t: int, keep: Sequence[int],

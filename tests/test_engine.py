@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zariski import (
+    Certificate,
     ConeModel,
     Decomposition,
     DimensionMismatchError,
@@ -32,7 +33,7 @@ from zariski import (
     volume,
 )
 from zariski import engine
-from zariski.exact import as_vector, gram_matrix, solve_symmetric
+from zariski.exact import as_vector, describe, gram_matrix, solve_symmetric
 
 from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
 
@@ -399,6 +400,149 @@ def test_verify_certificate_clean_result_has_no_violations(s2):
     )
     assert cert.all_passed
     assert violations == []
+
+
+def _negative_definite(rows) -> bool:
+    """Gaussian elimination without pivoting: all pivots negative (Sylvester)."""
+    m = [list(row) for row in rows]
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k] >= 0:
+            return False
+        for row in m[k + 1:]:
+            f = row[k] / pivot_row[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot_row[k:])]
+    return True
+
+
+def _reference_verify(model, alpha, positive_part, negative_coeffs):
+    """`verify_certificate` in plain Fraction arithmetic: each invariant from
+    its definition, in the order and with the wording of the real checks."""
+    vec_of = model.prime_vec
+
+    def image(u):  # Q·u, entry by entry
+        if len(u) != model.rank:
+            raise DimensionMismatchError("a vector's length is not the rank")
+        return [sum((x * y for x, y in zip(row, u) if y), Q(0)) for row in model.form.entries]
+
+    def pair(image_u, v):  # q(u, v)
+        return sum((x * y for x, y in zip(image_u, v) if y), Q(0))
+
+    violations = [f"unknown prime '{n}' in negative part"
+                  for n in negative_coeffs if n not in vec_of]
+    usable = {n: c for n, c in negative_coeffs.items() if n in vec_of}
+    rebuilt = tuple(alpha)
+    for n, c in usable.items():
+        if c:
+            rebuilt = tuple(x - c * y for x, y in zip(rebuilt, vec_of[n], strict=True))
+    if rebuilt != tuple(positive_part):
+        violations.append("reconstruction failed: positive part plus negative part "
+                          "does not equal the input class")
+    qz = image(positive_part)
+    pairings = {n: pair(qz, vec_of[n]) for n in usable}
+    violations += [f"orthogonality violated: q(positive_part, {n}) = {describe(x)}"
+                   for n, x in pairings.items() if x]
+    support = [vec_of[n] for n, c in usable.items() if c > 0]
+    negdef = _negative_definite([[pair(qu, v) for v in support] for qu in map(image, support)])
+    if not negdef:
+        violations.append("support Gram matrix is not negative definite")
+    effective = all(c >= 0 for c in negative_coeffs.values())
+    if not effective:
+        bad = {n: describe(c) for n, c in negative_coeffs.items() if c < 0}
+        violations.append(f"negative part has negative coefficients: {bad}")
+    dual_nef = (pair(qz, model.h) >= 0 and pair(qz, positive_part) >= 0
+                and all(pair(qz, p.vec) >= 0 for p in model.primes))
+    if not dual_nef:
+        violations.append("positive part is not dual-nef")
+    certificate = Certificate(not any(pairings.values()), negdef, effective, dual_nef)
+    return certificate, violations
+
+
+def _tampered(model, alpha, positive, coeffs, s):
+    """The result itself, then one tampering of each kind: a positive entry
+    plus `s`, a coefficient plus `s`, a negative coefficient, an unknown
+    prime, a zero-coefficient prime and a positive part outside the closed
+    cone."""
+    yield alpha, positive, coeffs
+    i = next((k for k, x in enumerate(positive) if x), 0)
+    yield alpha, tuple(x + s if k == i else x for k, x in enumerate(positive)), coeffs
+    for name in [*coeffs, *model.prime_names()][:1]:
+        yield alpha, positive, {**coeffs, name: coeffs.get(name, 0) + s}
+        yield alpha, positive, {**coeffs, name: Q(-1)}
+    yield alpha, positive, {**coeffs, "ghost": Q(1)}
+    spare = [p.name for p in model.primes if p.name not in coeffs]
+    if spare:
+        yield alpha, positive, {**coeffs, spare[0]: Q(0)}
+    yield alpha, tuple(-x for x in model.h), coeffs
+
+
+def test_verify_certificate_matches_the_fraction_reference(pool_decompositions):
+    """Same certificate, same violations in the same order and wording; the
+    tampering adds 1 on even pool cases and -1 on odd ones."""
+    kinds = Counter()
+    for k, (model, alpha, d) in enumerate(pool_decompositions):
+        s = (-1) ** k
+        for case in _tampered(model, alpha, d.positive_part, dict(d.negative_coeffs), s):
+            got = verify_certificate(model, *case)
+            assert got == _reference_verify(model, *case)
+            kinds.update(v.split(":")[0].split(" '")[0] for v in got[1])
+    # every kind of violation but the support's is met here; the next test has it
+    assert set(kinds) == {
+        "unknown prime", "reconstruction failed", "orthogonality violated",
+        "negative part has negative coefficients", "positive part is not dual-nef",
+    }
+
+
+def test_verify_certificate_matches_the_reference_on_oversize_supports():
+    """`rank` primes from an active set that del Pezzo r = 7 refused for its
+    size: in signature (1, r - 1) they are never negative definite."""
+    model = del_pezzo(7)
+    rng = random.Random(7)
+    subsets = []
+    while len(subsets) < 3:
+        try:
+            decompose(model, [rng.randint(-4, 4) for _ in range(model.rank)])
+        except NotPseudoEffectiveError as exc:
+            if len(subset := exc.detail.get("subset", ())) >= model.rank:
+                subsets.append(subset[:model.rank])
+    for subset in subsets:
+        coeffs = {n: Q(1, 2) for n in subset}
+        alpha = model.h
+        for n in subset:
+            alpha = vec_add(alpha, vec_scale(Q(1, 2), model.prime_vec[n]))
+        cert, violations = verify_certificate(model, alpha, model.h, coeffs)
+        assert not cert.gram_negative_definite_checked
+        assert "support Gram matrix is not negative definite" in violations
+        for s in (1, -1):
+            for case in _tampered(model, alpha, model.h, coeffs, s):
+                assert verify_certificate(model, *case) == _reference_verify(model, *case)
+
+
+def test_verify_certificate_raises_on_wrong_lengths_as_the_reference(s2):
+    """The reconstruction's strict zip raises `ValueError` first; a positive
+    part of the wrong length then raises `DimensionMismatchError`; a short
+    class with no nonzero coefficient only fails the reconstruction."""
+    d = decompose(s2, [1, 2, 1])
+    a, z, c = d.alpha, d.positive_part, dict(d.negative_coeffs)
+    cases = [
+        (a[:-1], z, c, ValueError),
+        (a[:-1], z[:-1], c, ValueError),
+        (a, z[:-1], c, DimensionMismatchError),
+        (a, z[:-1], {}, DimensionMismatchError),
+        (a[:-1], z[:-1], {}, DimensionMismatchError),
+        (a + (Q(0),), z, {}, None),
+        (a[:-1], z, {"c1": Q(0)}, None),
+    ]
+    for alpha, positive, coeffs, error in cases:
+        if error is None:
+            got = verify_certificate(s2, alpha, positive, coeffs)
+            assert got == _reference_verify(s2, alpha, positive, coeffs)
+            assert got[1] == ["reconstruction failed: positive part plus negative "
+                              "part does not equal the input class"]
+            continue
+        for verify in (verify_certificate, _reference_verify):
+            with pytest.raises(error) as info:
+                verify(s2, alpha, positive, coeffs)
+            assert type(info.value) is error
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -336,13 +336,17 @@ vector_entries = st.one_of(
 )
 
 
+def _draw_form(draw, r):
+    lower = [[draw(form_entries) for _ in range(i + 1)] for i in range(r)]
+    return symmetric_form(
+        [[lower[max(i, j)][min(i, j)] for j in range(r)] for i in range(r)]
+    )
+
+
 @st.composite
 def forms_and_vectors(draw):
     r = draw(st.integers(min_value=1, max_value=8))
-    lower = [[draw(form_entries) for _ in range(i + 1)] for i in range(r)]
-    form = symmetric_form(
-        [[lower[max(i, j)][min(i, j)] for j in range(r)] for i in range(r)]
-    )
+    form = _draw_form(draw, r)
     vector = st.lists(vector_entries, min_size=r, max_size=r)
     return form, draw(vector), draw(vector)
 
@@ -713,3 +717,29 @@ def test_gram_matrix():
     vecs = [as_vector([0, 1, 0]), as_vector([0, 0, 1])]
     g = gram_matrix(q, vecs)
     assert g.entries == ((Q(-2), Q(1)), (Q(1), Q(-2)))
+    assert gram_matrix(q, []).entries == ()
+    with pytest.raises(DimensionMismatchError):
+        gram_matrix(q, [vecs[0], as_vector([1, 0])])
+
+
+@st.composite
+def forms_and_families(draw):
+    """A form as in :func:`forms_and_vectors` and up to five vectors, zero
+    vectors among them, whose entries have different denominators."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    form = _draw_form(draw, r)
+    vector = st.one_of(
+        st.just((Q(0),) * r),
+        st.lists(st.one_of(rationals, vector_entries), min_size=r, max_size=r),
+    )
+    return form, draw(st.lists(vector, max_size=5))
+
+
+@given(forms_and_families())
+@settings(max_examples=200, deadline=None)
+def test_gram_matrix_is_the_pairwise_inner_gram(case):
+    """Clearing each vector once leaves every entry the Fraction `inner` gives."""
+    form, family = case
+    entries = gram_matrix(form, family).entries
+    assert entries == tuple(tuple(inner(form, u, v) for v in family) for u in family)
+    assert all(type(x) is Q for row in entries for x in row)

@@ -11,8 +11,11 @@ Each pair runs ``perfbench/run.py`` unchanged, once in each tree, with the
 same seed; the side that goes first alternates from pair to pair.  The summary gives, per
 workload and end-to-end metric (the ``end_to_end`` list), the median and
 quartiles of each side, the relative change of the medians, and how many
-pairs the change won.  It is rewritten after every pair, so an interrupted
-sweep keeps what it measured.
+pairs the change won.  It also gives each side's median and quartiles of
+``attempted``, the operations a run made: the benchmark keeps every output
+until it judges them, so ``peak_rss_mb`` grows with that count, and the
+count tells "more outputs" from "heavier outputs".  The summary is rewritten
+after every pair, so an interrupted sweep keeps what it measured.
 
 The record names the measured change by ``src_tree``, the git tree hash of
 ``src`` in that snapshot; once the change is committed,
@@ -87,7 +90,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-metric medians, quartiles and wins over the pairs in `runs`."""
+    """Per-metric medians, quartiles and wins over the pairs in `runs`, under
+    ``metrics``, and each side's spread of ``attempted``."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -108,7 +112,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "wins": sum((c > p) if higher else (c < p) for p, c in pairs),
             "pairs": len(pairs),
         }
-    return out
+    attempted = {side: spread([r[side]["attempted"] for r in runs])
+                 for side in ("parent", "change")}
+    return {"metrics": out, "attempted": attempted}
 
 
 def main(argv=None) -> int:
@@ -154,8 +160,7 @@ def main(argv=None) -> int:
                                      if k != "seed"}
                 result["parent"].pop("machine")
                 runs.append(result)
-                record["workloads"][workload] = {"metrics": summarize(runs, metrics),
-                                                 "runs": runs}
+                record["workloads"][workload] = {**summarize(runs, metrics), "runs": runs}
                 Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
                 print(f"{workload} seed {seed}: pair {k + 1}/{args.pairs} done",
                       file=sys.stderr, flush=True)

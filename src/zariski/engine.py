@@ -33,8 +33,10 @@ from .exact import (
     describe,
     dot,
     gram_matrix,
+    inner,
     is_negative_definite,
     schur_complement,
+    solve_cleared,
     solve_symmetric,
 )
 
@@ -165,16 +167,29 @@ def _project(
 ) -> tuple[Vector, Vector] | None:
     """``(coeffs, residual)`` with ``alpha = residual + sum(c * v)`` and the
     residual orthogonal to `vecs`; ``None`` if their Gram is not negative definite.
-    """
-    if len(vecs) >= form.rank:  # not negative definite in signature (1, r - 1)
-        return None
-    rows, scale = form.cleared
-    a, den = clear_denominators(alpha)  # once: rhs[i] = q(alpha, vecs[i])
-    image = [dot(row, a) for row in rows]
-    rhs = [Fraction(dot(image, v), scale * den * dv) for v, dv in map(clear_denominators, vecs)]
+    The oracle's projection, all in Fractions: :func:`inner`, :func:`gram_matrix`
+    and :func:`solve_symmetric` on the raw vectors."""
+    rhs = [inner(form, alpha, v) for v in vecs]
     if (coeffs := solve_symmetric(gram_matrix(form, vecs), rhs)) is None:
         return None
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
+
+
+def _project_primes(model: ConeModel, alpha: Vector, a: tuple[int, ...], den: int,
+                    active: list[int]) -> tuple[Vector, Vector] | None:
+    """:func:`_project` of ``alpha = a / den`` off the primes at `active`, in integers:
+    ``M_F y = b`` for ``M = compiled.gram`` and ``b_i = a · images[i]``, and ``c_i =
+    dens[i] * y_i / den``.  ``M_F = scale * D G D`` for the Fraction Gram ``G`` and the
+    positive diagonal ``D`` of ``dens``, so it is negative definite iff ``G`` is."""
+    if len(active) >= model.rank:  # not negative definite in signature (1, r - 1)
+        return None
+    c = model.compiled
+    if (solved := solve_cleared([[c.gram[i][j] for j in active] for i in active],
+                                [dot(a, c.images[i]) for i in active])) is None:
+        return None
+    z, det = solved  # z = det(M_F) * y
+    coeffs = tuple(Fraction(c.dens[i] * zi, det * den) for i, zi in zip(active, z))
+    return coeffs, combine(alpha, ((-k, model.primes[i].vec) for k, i in zip(coeffs, active)))
 
 
 def _active_set(
@@ -182,12 +197,13 @@ def _active_set(
 ) -> tuple[Vector, dict[str, Fraction], int] | NotPseudoEffectiveError:
     """The active-set loop of :func:`decompose`.
 
-    Returns ``(positive_part, negative_coeffs, rounds)``, or the
-    refusal as a value: :func:`decompose` raises it, so its traceback pins
-    none of this frame's working state.  The residual is exactly orthogonal
-    to every active prime, so only inactive primes can pair negatively.
+    Returns ``(positive_part, negative_coeffs, rounds)``, or the refusal as a value:
+    :func:`decompose` raises it, so its traceback pins none of this frame's working
+    state.  The residual is exactly orthogonal to every active prime, so only inactive
+    primes can pair negatively.  Each round solves in integers (:func:`_project_primes`).
     """
     primes = model.primes
+    a, den = clear_denominators(alpha)
     active: list[int] = []
     coeffs: Vector = ()
     current = alpha
@@ -195,7 +211,7 @@ def _active_set(
     while violating := [i for i, s in enumerate(model.prime_signs(current)) if s < 0]:
         rounds += 1
         active = sorted({*active, *violating})
-        projected = _project(model.form, alpha, [primes[i].vec for i in active])
+        projected = _project_primes(model, alpha, a, den, active)
         if projected is None:
             return NotPseudoEffectiveError(
                 "gram-not-negative-definite",
@@ -216,16 +232,16 @@ def _active_set(
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     """Active-set orthogonal projection onto the dual-nef cone.
 
-    Each round projects ``alpha`` orthogonally off the span of the active
-    primes, collects every remaining prime the residual pairs negatively
-    with, and enlarges the active set by all of them at once.  The run
-    fails with :class:`NotPseudoEffectiveError` as soon as the active Gram
-    matrix stops being negative definite, or when the final residual falls
-    outside the closed positive cone.  On success all four certificate
-    invariants are re-verified from scratch.  A model that breaks the cone
-    axioms raises :class:`InvalidModelError` (the validation report is cached
-    on the model, so this costs one read after the first call).  Every sign
-    the loop reads is an integer dot product on ``model.compiled``.
+    Each round projects ``alpha`` orthogonally off the span of the active primes,
+    collects every remaining prime the residual pairs negatively with, and enlarges
+    the active set by all of them at once.  The run fails with
+    :class:`NotPseudoEffectiveError` as soon as the active Gram matrix stops being
+    negative definite, or when the final residual falls outside the closed positive
+    cone.  On success all four certificate invariants are re-verified from scratch.
+    A model that breaks the cone axioms raises :class:`InvalidModelError` (the
+    validation report is cached on the model, so this costs one read after the
+    first call).  Every sign the loop reads, and every system it solves, is in
+    integers on ``model.compiled``.
     """
     model.require_valid()
     alpha = as_vector(alpha)
@@ -346,14 +362,14 @@ def brute_force_decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     """Oracle: family search over every exceptional family (test-only).
 
     Projects `alpha` off the span of each family that
-    :func:`enumerate_exceptional_families` lists and keeps candidates with
-    nonnegative coefficients and a dual-nef remainder; the cost is the family
-    count, so it reaches del Pezzo r = 6 (27 primes).  A family that the
-    projection's pivot test refuses raises :class:`InternalInconsistencyError`.
-    Exactly one candidate must survive (after identifying candidates that
-    differ only by zero-coefficient primes); anything else raises
-    :class:`OracleUniquenessError`.  A model that breaks the cone axioms
-    raises :class:`InvalidModelError`.
+    :func:`enumerate_exceptional_families` lists, by the Fraction :func:`_project`
+    that the engine's loop does not run, and keeps candidates with nonnegative
+    coefficients and a dual-nef remainder; the cost is the family count, so it
+    reaches del Pezzo r = 6 (27 primes).  A family that the projection's pivot
+    test refuses raises :class:`InternalInconsistencyError`.  Exactly one
+    candidate must survive (after identifying candidates that differ only by
+    zero-coefficient primes); anything else raises :class:`OracleUniquenessError`.
+    A model that breaks the cone axioms raises :class:`InvalidModelError`.
     """
     model.require_valid()
     alpha = as_vector(alpha)

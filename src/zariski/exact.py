@@ -474,18 +474,33 @@ def is_negative_definite(gram: SymmetricForm) -> bool:
     return signature(gram) == (0, gram.rank, 0)
 
 
-def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
-    """Solve ``gram * x = rhs`` exactly for a negative definite `gram`.
+def solve_cleared(rows: Sequence[Sequence[int]],
+                  b: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """``(z, det(rows))`` with ``rows · z = det(rows) · b`` for a negative definite symmetric
+    integer `rows`, else ``None``.  :func:`schur_complement` steps at the leading entry of
+    ``[[rows, b], [b^T, 0]]`` have its leading principal minors as pivots, which alternate
+    from negative iff `rows` is negative definite (Sylvester); the last step, which only builds
+    the unread bordered corner, is skipped.  ``z`` is integral (Cramer): divisions are exact."""
+    m = [[*row, bi] for row, bi in zip(rows, b)] + [[*b, 0]]
+    pivot_rows, prev = [], 1
+    for k in range(len(b), 0, -1):  # k rows of `rows` left in m
+        p = m[0][0]
+        if p * prev >= 0:
+            return None
+        pivot_rows.append(m[0])
+        if k > 1:
+            m = schur_complement(m, 0, range(1, len(m)), prev)
+        prev = p
+    z: tuple[int, ...] = ()
+    for row in reversed(pivot_rows):
+        z = ((prev * row[-1] - dot(row[1:-1], z)) // row[0], *z)
+    return z, prev
 
-    Returns ``None`` when `gram` is not negative definite; the same pass
-    decides that and solves.  On ``G = scale * gram`` and ``b = den * rhs``
-    cleared to integers, :func:`schur_complement` steps at the leading entry
-    of ``[[G, b], [b^T, 0]]`` have the leading principal minors of ``G`` as
-    pivots, whose signs alternate from negative iff `gram` is negative
-    definite (Sylvester's criterion).  Back-substitution along the pivot rows
-    solves ``G * y = b`` in integers: ``z = det(G) * y`` is integral (Cramer's
-    rule), so each division is exact, and ``x = z * scale / (det(G) * den)``.
-    """
+
+def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
+    """Solve ``gram * x = rhs`` exactly, or ``None`` unless `gram` is negative definite:
+    :func:`solve_cleared` on ``G = scale * gram`` and ``b = den * rhs`` gives
+    ``x = z * scale / (det(G) * den)``."""
     n = gram.rank
     if len(rhs) != n:
         raise DimensionMismatchError(
@@ -493,17 +508,6 @@ def solve_symmetric(gram: SymmetricForm, rhs: Sequence) -> Vector | None:
         )
     rows, scale = gram.cleared
     b, den = clear_denominators(map(Fraction, rhs))
-    m = [[*row, bi] for row, bi in zip(rows, b)] + [[*b, 0]]
-    pivot_rows, prev = [], 1
-    for k in range(n, 0, -1):  # k rows of G left in m
-        p = m[0][0]
-        if p * prev >= 0:
-            return None
-        pivot_rows.append(m[0])
-        if k > 1:  # the last step would only build the bordered corner
-            m = schur_complement(m, 0, range(1, len(m)), prev)
-        prev = p
-    z: tuple[int, ...] = ()
-    for row in reversed(pivot_rows):
-        z = ((prev * row[-1] - dot(row[1:-1], z)) // row[0], *z)
-    return tuple(Fraction(v * scale, prev * den) for v in z)
+    if (solved := solve_cleared(rows, b)) is None:
+        return None
+    return tuple(Fraction(v * scale, solved[1] * den) for v in solved[0])

@@ -632,19 +632,17 @@ def test_a_n_chain_closed_form(n, t):
 
 def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
     """In signature (1, r - 1) no family of r or more primes is negative definite,
-    so such an active set is refused without a Gram; on arbitrary integer
-    classes at del Pezzo r = 7 most refusals are of that kind."""
+    so such an active set is refused without a Gram or a solve; on arbitrary
+    integer classes at del Pezzo r = 7 most refusals are of that kind."""
     model = del_pezzo(7)
     sizes = []
+    solve = engine.solve_cleared
 
-    def spy(fn):
-        def wrapper(form_or_gram, arg):
-            sizes.append(len(arg))
-            return fn(form_or_gram, arg)
-        return wrapper
+    def spy(rows, b):
+        sizes.append(len(b))
+        return solve(rows, b)
 
-    monkeypatch.setattr(engine, "gram_matrix", spy(engine.gram_matrix))
-    monkeypatch.setattr(engine, "solve_symmetric", spy(engine.solve_symmetric))
+    monkeypatch.setattr(engine, "solve_cleared", spy)
     rng = random.Random(7)
     oversize = []
     for _ in range(20):
@@ -660,6 +658,74 @@ def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
     assert len(oversize) >= 10
     monkeypatch.undo()
     assert not any(is_exceptional_family(model, subset) for subset in oversize)
+
+
+def test_the_loop_builds_no_fraction_gram(monkeypatch):
+    """Each round of the loop is one integer solve on a principal submatrix of
+    ``compiled.gram``; neither the Fraction Gram nor its solve runs."""
+    model, alpha = a_n_chain(8)
+
+    def refuse(*args):
+        raise AssertionError("the loop called a Fraction Gram or solve")
+
+    solves = []
+    solve = engine.solve_cleared
+
+    def spy(rows, b):
+        solves.append(len(b))
+        return solve(rows, b)
+
+    monkeypatch.setattr(engine, "gram_matrix", refuse)
+    monkeypatch.setattr(engine, "solve_symmetric", refuse)
+    monkeypatch.setattr(engine, "solve_cleared", spy)
+    positive, negative, rounds = engine._active_set(model, alpha)
+    assert rounds == 8 and solves == list(range(1, 9))
+    monkeypatch.undo()
+    d = decompose(model, alpha)
+    assert (positive, negative) == (d.positive_part, d.negative_coeffs)
+
+
+def _rescaled(model: ConeModel) -> ConeModel:
+    """`model` with the form divided by 6 and prime k by k + 2, so that each
+    prime has its own denominator."""
+    return cone_model([[x / 6 for x in row] for row in model.form.entries],
+                      [(p.name, [x / (k + 2) for x in p.vec])
+                       for k, p in enumerate(model.primes)],
+                      model.h)
+
+
+def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
+    """For every active set the loop reaches, on the 1000 pool classes, 60
+    arbitrary integer classes at del Pezzo r = 7, the A_n chains for
+    n = 3..10, one arbitrary integer class per grid model (for refusals at a
+    pivot) and the first 50 pool models' classes with rescaled primes, the
+    loop's integer projection and the oracle's Fraction `_project` give the
+    same coefficients and residual, or both refuse.  Each round is compared
+    as it runs, so a wrong projection fails here rather than looping on."""
+    cases = [(model, alpha) for _, model, classes in pool for alpha in classes]
+    r7, draw = del_pezzo(7), random.Random(7)
+    cases += [(r7, as_vector(draw.randint(-4, 4) for _ in range(r7.rank)))
+              for _ in range(60)]
+    cases += [a_n_chain(n) for n in range(3, 11)]
+    cases += [(model, as_vector(draw.randint(-4, 4) for _ in range(model.rank)))
+              for _, model, _ in pool]
+    cases += [(_rescaled(model), alpha) for _, model, classes in pool[:50] for alpha in classes]
+    kinds = Counter()
+    project = engine._project_primes
+
+    def spy(model, alpha, a, den, active):
+        out = project(model, alpha, a, den, active)
+        assert out == engine._project(model.form, alpha, [model.primes[i].vec for i in active])
+        kinds["solved" if out else "oversize" if len(active) >= model.rank else "pivot"] += 1
+        return out
+
+    monkeypatch.setattr(engine, "_project_primes", spy)
+    for model, alpha in cases:
+        try:
+            decompose(model, alpha)
+        except NotPseudoEffectiveError:
+            pass
+    assert kinds == {"solved": 905, "oversize": 68, "pivot": 36}
 
 
 def test_engine_and_oracle_agree_on_arbitrary_classes(pool):

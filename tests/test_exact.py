@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from math import isqrt
+from itertools import permutations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,13 @@ from zariski import (
     split_square,
     symmetric_form,
 )
-from zariski.exact import SQUAREFREE_BOUND, _table_primes, schur_complement
+from zariski.exact import (
+    SQUAREFREE_BOUND,
+    _table_primes,
+    dot,
+    schur_complement,
+    solve_cleared,
+)
 
 # n/d with d <= 6 and |n| <= 6d: the support of st.fractions(-6, 6,
 # max_denominator=6), drawn without its flatmap; k*d // 6 takes every
@@ -426,6 +433,51 @@ def test_solve_symmetric_singular():
     assert solve_symmetric(symmetric_form([[1, 1], [1, 1]]), [1, 0]) is None
     with pytest.raises(DimensionMismatchError):
         solve_symmetric(symmetric_form([[1]]), [1, 2])
+
+
+def _leibniz_determinant(rows) -> int:
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_solve_cleared_returns_the_scaled_solution_and_the_determinant(n):
+    """On ``-(M^T M + I)``, negative definite, ``rows · z == det · b`` and ``det``
+    is the determinant, positive for even sizes and negative for odd ones."""
+    rng = random.Random(n)
+    for _ in range(10):
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows = [[-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j) for j in range(n)]
+                for i in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        z, det = solve_cleared(rows, b)
+        assert all(type(v) is int for v in z)
+        assert [dot(row, z) for row in rows] == [det * x for x in b]
+        assert det == _leibniz_determinant(rows)
+        assert (det > 0) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[-1, 1], [1, -1]],  # singular
+    [[-2, 2, 0], [2, -2, 0], [0, 0, -1]],  # singular at the second pivot
+    [[-1, 2], [2, -1]],  # indefinite
+    [[0, 1], [1, 0]],  # indefinite, zero leading entry
+    [[3]],  # positive 1 x 1
+    [[0]],
+], ids=["singular", "singular-3", "indefinite", "indefinite-zero-pivot", "positive", "zero"])
+def test_solve_cleared_refuses_what_is_not_negative_definite(rows):
+    assert solve_cleared(rows, [1] * len(rows)) is None
+
+
+def test_solve_symmetric_checks_the_length_before_the_solve():
+    with pytest.raises(DimensionMismatchError):
+        solve_symmetric(symmetric_form([[-2, 1], [1, -2]]), [1])
+    assert solve_cleared([], []) == ((), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

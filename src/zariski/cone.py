@@ -215,19 +215,18 @@ class ConeModel:
     # Signs are read off the integer view: ``a = den * alpha`` is cleared
     # once, and every pairing below is an integer over a positive denominator.
 
-    def _cleared(self, alpha: Sequence) -> tuple[int, ...]:
+    def _cleared(self, alpha: Sequence) -> tuple[tuple[int, ...], int]:
         alpha = as_vector(alpha)
         if len(alpha) != self.rank:
             raise DimensionMismatchError(
                 f"class of length {len(alpha)} against a rank-{self.rank} model"
             )
-        return clear_denominators(alpha)[0]
+        return clear_denominators(alpha)
 
-    def prime_signs(self, alpha: Sequence) -> tuple[int, ...]:
-        """The sign of ``q(alpha, p)`` for each prime ``p``, in model order."""
-        a = self._cleared(alpha)
-        pairings = (dot(a, image) for image in self.compiled.images)
-        return tuple((x > 0) - (x < 0) for x in pairings)
+    def _pairings(self, a: Sequence[int]) -> list[int]:
+        """``a · images[i]`` for each prime: ``q(alpha, p_i)`` times a positive integer,
+        for a class cleared to ``a``.  The one reader of ``compiled.images``."""
+        return [dot(a, image) for image in self.compiled.images]
 
     def _closure_holds(self, a: Sequence[int]) -> bool:
         """:meth:`in_positive_cone_closure` of a class already cleared to ``a``."""
@@ -236,12 +235,12 @@ class ConeModel:
 
     def in_positive_cone_closure(self, alpha: Sequence) -> bool:
         """Closure of the positive half-cone selected by h."""
-        return self._closure_holds(self._cleared(alpha))
+        return self._closure_holds(self._cleared(alpha)[0])
 
     def is_dual_nef(self, alpha: Sequence) -> bool:
         """Positive-cone closure plus nonnegative pairing with every prime."""
-        a = self._cleared(alpha)
-        return self._closure_holds(a) and all(dot(a, p) >= 0 for p in self.compiled.images)
+        a = self._cleared(alpha)[0]
+        return self._closure_holds(a) and all(x >= 0 for x in self._pairings(a))
 
 
 def cone_model(

@@ -31,7 +31,6 @@ from .exact import (
     clear_denominators,
     combine,
     describe,
-    dot,
     gram_matrix,
     inner,
     is_negative_definite,
@@ -135,7 +134,7 @@ def verify_certificate(
     if len(z) != model.rank:
         raise DimensionMismatchError(f"positive part of length {len(z)}, rank {model.rank}")
 
-    pairings = [dot(z, image) for image in c.images]
+    pairings = model._pairings(z)
     orthogonal = True
     for name in usable:
         if pairings[position[name]]:
@@ -175,17 +174,17 @@ def _project(
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
 
 
-def _project_primes(model: ConeModel, alpha: Vector, a: tuple[int, ...], den: int,
+def _project_primes(model: ConeModel, alpha: Vector, b: Sequence[int], den: int,
                     active: list[int]) -> tuple[Vector, Vector] | None:
     """:func:`_project` of ``alpha = a / den`` off the primes at `active`, in integers:
-    ``M_F y = b`` for ``M = compiled.gram`` and ``b_i = a · images[i]``, and ``c_i =
-    dens[i] * y_i / den``.  ``M_F = scale * D G D`` for the Fraction Gram ``G`` and the
-    positive diagonal ``D`` of ``dens``, so it is negative definite iff ``G`` is."""
+    ``M_F y = b_F`` for ``M = compiled.gram`` and alpha's pairings ``b = model._pairings(a)``,
+    and ``c_i = dens[i] * y_i / den``.  ``M_F = scale * D G D`` for the Fraction Gram ``G``
+    and the positive diagonal ``D`` of ``dens``, so it is negative definite iff ``G`` is."""
     if len(active) >= model.rank:  # not negative definite in signature (1, r - 1)
         return None
     c = model.compiled
     if (solved := solve_cleared([[c.gram[i][j] for j in active] for i in active],
-                                [dot(a, c.images[i]) for i in active])) is None:
+                                [b[i] for i in active])) is None:
         return None
     z, det = solved  # z = det(M_F) * y
     coeffs = tuple(Fraction(c.dens[i] * zi, det * den) for i, zi in zip(active, z))
@@ -200,26 +199,32 @@ def _active_set(
     Returns ``(positive_part, negative_coeffs, rounds)``, or the refusal as a value:
     :func:`decompose` raises it, so its traceback pins none of this frame's working
     state.  The residual is exactly orthogonal to every active prime, so only inactive
-    primes can pair negatively.  Each round solves in integers (:func:`_project_primes`).
+    primes can pair negatively (an active one raises :class:`InternalInconsistencyError`).
+    Alpha's pairings are the first scan and every round's right-hand side in integers
+    (:func:`_project_primes`); each residual is cleared once, for its scan and closure.
     """
     primes = model.primes
-    a, den = clear_denominators(alpha)
-    active: list[int] = []
-    coeffs: Vector = ()
-    current = alpha
-    rounds = 0
-    while violating := [i for i, s in enumerate(model.prime_signs(current)) if s < 0]:
+    a, den = model._cleared(alpha)
+    b = pairings = model._pairings(a)
+    active, coeffs, current, rounds = [], (), alpha, 0
+    while violating := [i for i, x in enumerate(pairings) if x < 0]:
         rounds += 1
+        if stuck := [primes[i].name for i in violating if i in active]:
+            raise InternalInconsistencyError(
+                f"round {rounds}: the residual pairs negatively with active primes {stuck}"
+            )
         active = sorted({*active, *violating})
-        projected = _project_primes(model, alpha, a, den, active)
+        projected = _project_primes(model, alpha, b, den, active)
         if projected is None:
             return NotPseudoEffectiveError(
                 "gram-not-negative-definite",
                 subset=tuple(primes[i].name for i in active),
             )
         coeffs, current = projected
+        a = model._cleared(current)[0]
+        pairings = model._pairings(a)
 
-    if not model.in_positive_cone_closure(current):
+    if not model._closure_holds(a):
         return NotPseudoEffectiveError(
             "positive-cone-closure",
             q_self=model.q(current, current),

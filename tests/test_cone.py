@@ -277,7 +277,7 @@ def _assert_integer_signs_match(model, classes):
         signs = tuple(_sign(q) for q in q_primes)
         q_self = sum((Q(a) * y for a, y in zip(alpha, _fraction_image(model, alpha))), Q(0))
         in_cone = q_self >= 0 and q_h >= 0
-        assert model.prime_signs(alpha) == signs
+        assert tuple(map(_sign, model._pairings(model._cleared(alpha)[0]))) == signs
         assert model.in_positive_cone_closure(alpha) == in_cone
         assert model.is_dual_nef(alpha) == (in_cone and min(signs, default=0) >= 0)
 

@@ -33,7 +33,7 @@ from zariski import (
     volume,
 )
 from zariski import engine
-from zariski.exact import as_vector, describe, gram_matrix, solve_symmetric
+from zariski.exact import as_vector, combine, describe, gram_matrix, solve_symmetric
 
 from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
 
@@ -685,6 +685,28 @@ def test_the_loop_builds_no_fraction_gram(monkeypatch):
     assert (positive, negative) == (d.positive_part, d.negative_coeffs)
 
 
+def test_the_loop_clears_each_class_once(monkeypatch):
+    """Alpha is cleared once and each round's residual once, and the last cleared
+    residual answers the closure test: on the A_8 chain, 9 clears for 8 rounds."""
+    model, alpha = a_n_chain(8)
+    calls = Counter()
+
+    def spy(owner, name):
+        wrapped = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(ConeModel, "_cleared")
+    spy(ConeModel, "in_positive_cone_closure")
+    spy(engine, "clear_denominators")
+    assert engine._active_set(model, alpha)[2] == 8
+    assert calls == {"_cleared": 9}
+
+
 def _rescaled(model: ConeModel) -> ConeModel:
     """`model` with the form divided by 6 and prime k by k + 2, so that each
     prime has its own denominator."""
@@ -713,8 +735,8 @@ def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
     kinds = Counter()
     project = engine._project_primes
 
-    def spy(model, alpha, a, den, active):
-        out = project(model, alpha, a, den, active)
+    def spy(model, alpha, b, den, active):
+        out = project(model, alpha, b, den, active)
         assert out == engine._project(model.form, alpha, [model.primes[i].vec for i in active])
         kinds["solved" if out else "oversize" if len(active) >= model.rank else "pivot"] += 1
         return out
@@ -726,6 +748,37 @@ def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
         except NotPseudoEffectiveError:
             pass
     assert kinds == {"solved": 905, "oversize": 68, "pivot": 36}
+
+
+def test_a_wrong_projection_ends_in_the_progress_guard(pool, monkeypatch):
+    """A projection that drops each prime's denominator from its coefficient leaves
+    residuals that pair negatively with active primes on the rescaled pool models;
+    the loop raises instead of solving the same system again and again.  The
+    wrapper stops a decomposition past ``rank + 1`` projections, which no loop
+    that grows its active set each round can reach."""
+    project = engine._project_primes
+    projections = Counter()
+
+    def mutant(model, alpha, *args):
+        projections[alpha] += 1
+        if projections[alpha] > model.rank + 1:
+            raise AssertionError(f"{projections[alpha]} projections of one class")
+        if (out := project(model, alpha, *args)) is None:
+            return None
+        active, dens = args[-1], model.compiled.dens
+        coeffs = tuple(k / dens[i] for k, i in zip(out[0], active))
+        return coeffs, combine(alpha, ((-k, model.primes[i].vec) for k, i in zip(coeffs, active)))
+
+    monkeypatch.setattr(engine, "_project_primes", mutant)
+    with pytest.raises(InternalInconsistencyError, match="active primes"):
+        for _, model, classes in pool[:50]:
+            model = _rescaled(model)
+            for alpha in classes:
+                projections.clear()
+                try:
+                    decompose(model, alpha)
+                except NotPseudoEffectiveError:
+                    pass
 
 
 def test_engine_and_oracle_agree_on_arbitrary_classes(pool):

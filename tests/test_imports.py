@@ -105,6 +105,20 @@ def test_only_quadext_refuses_mixed_radicands(path):
     assert raises == (path.name == "exact.py")
 
 
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_only_pairings_reads_the_prime_images(path):
+    """One owner of the prime-pairing scan: ``ConeModel._pairings`` reads
+    ``compiled.images``, and no other library code reads an attribute of that name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "ConeModel"
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_pairings"]
+    inside = {id(node) for fn in owner for node in ast.walk(fn)}
+    reads = [(node.lineno, id(node) in inside) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "images"]
+    assert [line for line, owned in reads if not owned] == []
+    assert bool(reads) == bool(owner) == (path.name == "cone.py")
+
+
 def _layer_functions() -> dict:
     """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
     tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))

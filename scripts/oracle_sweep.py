@@ -46,7 +46,7 @@ def naive_families(model) -> list[tuple[str, ...]]:
         s
         for size in range(model.rank + 1)
         for s in combinations(range(len(names)), size)
-        if is_negative_definite(gram_matrix(model.form, [model.primes[i].vec for i in s]))
+        if is_negative_definite(gram_matrix(model.form, [model.primes[i].vec for i in s]).cleared[0])
     ]
     return [tuple(names[i] for i in s) for s in sorted(subsets)]
 

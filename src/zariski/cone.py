@@ -161,7 +161,7 @@ class ConeModel:
         violations: list[str] = []
         warnings: list[str] = []
         r = self.rank
-        sig = signature(self.form)
+        sig = signature(self.form.cleared[0])
         if sig != (1, r - 1, 0):
             violations.append(
                 f"form has signature {sig}, expected Lorentzian (1, {r - 1}, 0)"
@@ -228,19 +228,20 @@ class ConeModel:
         for a class cleared to ``a``.  The one reader of ``compiled.images``."""
         return [dot(a, image) for image in self.compiled.images]
 
-    def _closure_holds(self, a: Sequence[int]) -> bool:
-        """:meth:`in_positive_cone_closure` of a class already cleared to ``a``."""
+    def _closure_pairings(self, a: Sequence[int]) -> tuple[int, int]:
+        """``(a · qh, a · form · a)`` for ``a = den * alpha``: ``q(alpha, h)`` times
+        ``scale * h_den * den`` and ``q(alpha, alpha)`` times ``scale * den**2``."""
         c = self.compiled
-        return dot(a, c.qh) >= 0 and dot(a, [dot(row, a) for row in c.form]) >= 0
+        return dot(a, c.qh), dot(a, [dot(row, a) for row in c.form])
 
     def in_positive_cone_closure(self, alpha: Sequence) -> bool:
         """Closure of the positive half-cone selected by h."""
-        return self._closure_holds(self._cleared(alpha)[0])
+        return min(self._closure_pairings(self._cleared(alpha)[0])) >= 0
 
     def is_dual_nef(self, alpha: Sequence) -> bool:
         """Positive-cone closure plus nonnegative pairing with every prime."""
         a = self._cleared(alpha)[0]
-        return self._closure_holds(a) and all(x >= 0 for x in self._pairings(a))
+        return min(self._closure_pairings(a)) >= 0 and all(x >= 0 for x in self._pairings(a))
 
 
 def cone_model(

@@ -24,11 +24,9 @@ from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .cone import ConeModel
 from .exact import (
-    DimensionMismatchError,
     SymmetricForm,
     Vector,
     as_vector,
-    clear_denominators,
     combine,
     describe,
     gram_matrix,
@@ -111,8 +109,8 @@ def verify_certificate(
     Returns the certificate booleans together with a human-readable list of
     violations (empty when everything holds).  The reconstruction identity
     is checked as well even though it is not part of the certificate type.
-    Each vector is cleared once: reconstruction is an integer identity, orthogonality
-    and dual-nef are signs against ``model.compiled``; the support's Gram is in Fractions.
+    Both vectors are cleared once by ``model._cleared`` (a wrong length raises first):
+    reconstruction is an integer identity, and every other check reads ``model.compiled``.
     """
     violations: list[str] = []
     position, c = model.prime_position, model.compiled
@@ -121,7 +119,7 @@ def verify_certificate(
             violations.append(f"unknown prime '{name}' in negative part")
     usable = {n: k for n, k in negative_coeffs.items() if n in position}
 
-    (a, da), (z, dz) = map(clear_denominators, (alpha, positive_part))
+    (a, da), (z, dz) = map(model._cleared, (alpha, positive_part))
     terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items() if k]
     den = lcm(da, dz, *(q * c.dens[i] for _, q, i in terms))
     total = combine(tuple(x * (den // da) for x in a),  # den * (alpha - negative part)
@@ -131,21 +129,20 @@ def verify_certificate(
             "reconstruction failed: positive part plus negative part "
             "does not equal the input class"
         )
-    if len(z) != model.rank:
-        raise DimensionMismatchError(f"positive part of length {len(z)}, rank {model.rank}")
 
     pairings = model._pairings(z)
     orthogonal = True
     for name in usable:
-        if pairings[position[name]]:
+        if pairing := pairings[i := position[name]]:
             orthogonal = False
-            pairing = model.q(positive_part, model.prime_vec[name])
+            value = Fraction(pairing, c.scale * dz * c.dens[i])
             violations.append(
-                f"orthogonality violated: q(positive_part, {name}) = {describe(pairing)}"
+                f"orthogonality violated: q(positive_part, {name}) = {describe(value)}"
             )
 
-    support_vecs = [model.prime_vec[n] for n, k in usable.items() if k > 0]
-    negdef = not support_vecs or is_negative_definite(gram_matrix(model.form, support_vecs))
+    # the principal submatrix of scale * D G D: congruent to the support's Gram G
+    support = [position[n] for n, k in usable.items() if k > 0]
+    negdef = is_negative_definite([[c.gram[i][j] for j in support] for i in support])
     if not negdef:
         violations.append("support Gram matrix is not negative definite")
 
@@ -154,7 +151,7 @@ def verify_certificate(
         bad = {n: describe(k) for n, k in negative_coeffs.items() if k < 0}
         violations.append(f"negative part has negative coefficients: {bad}")
 
-    dual_nef = model._closure_holds(z) and all(x >= 0 for x in pairings)
+    dual_nef = min(model._closure_pairings(z)) >= 0 and all(x >= 0 for x in pairings)
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
@@ -203,10 +200,10 @@ def _active_set(
     Alpha's pairings are the first scan and every round's right-hand side in integers
     (:func:`_project_primes`); each residual is cleared once, for its scan and closure.
     """
-    primes = model.primes
+    primes, c = model.primes, model.compiled
     a, den = model._cleared(alpha)
     b = pairings = model._pairings(a)
-    active, coeffs, current, rounds = [], (), alpha, 0
+    active, coeffs, current, rounds, d = [], (), alpha, 0, den
     while violating := [i for i, x in enumerate(pairings) if x < 0]:
         rounds += 1
         if stuck := [primes[i].name for i in violating if i in active]:
@@ -221,16 +218,17 @@ def _active_set(
                 subset=tuple(primes[i].name for i in active),
             )
         coeffs, current = projected
-        a = model._cleared(current)[0]
+        a, d = model._cleared(current)
         pairings = model._pairings(a)
 
-    if not model._closure_holds(a):
+    qh, qq = model._closure_pairings(a)
+    if qh < 0 or qq < 0:  # over the denominators of current = a / d
         return NotPseudoEffectiveError(
             "positive-cone-closure",
-            q_self=model.q(current, current),
-            q_h=model.q(current, model.h),
+            q_self=Fraction(qq, c.scale * d * d),
+            q_h=Fraction(qh, c.scale * c.h_den * d),
         )
-    negative = {primes[i].name: c for i, c in zip(active, coeffs)}
+    negative = {primes[i].name: k for i, k in zip(active, coeffs)}
     return current, negative, max(rounds, 1)
 
 

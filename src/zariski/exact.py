@@ -434,15 +434,15 @@ def schur_complement(m: Sequence[Sequence[int]], t: int, keep: Sequence[int],
     return out
 
 
-def signature(form: SymmetricForm) -> tuple[int, int, int]:
-    """Inertia ``(n_plus, n_minus, n_zero)`` by exact congruence reduction.
+def signature(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Inertia ``(n_plus, n_minus, n_zero)`` of the symmetric integer `rows`.
 
-    Fraction-free steps (:func:`schur_complement` at the leading entry) on
-    the integer ``form.cleared`` keep the working matrix ``prev`` times the
-    rational one, so a pivot ``p`` has the sign ``sign(p) * sign(prev)``;
-    ``prev`` may be negative.  Only symmetric row/column operations are used.
+    Fraction-free steps (:func:`schur_complement` at the leading entry) keep
+    the working matrix ``prev`` times the reduced one, so a pivot ``p`` has the
+    sign ``sign(p) * sign(prev)``; ``prev`` may be negative.  Only symmetric
+    row/column operations are used.
     """
-    m = [list(row) for row in form.cleared[0]]
+    m = [list(row) for row in rows]
     plus = minus = zero = 0
     prev = 1
     while m:
@@ -469,9 +469,9 @@ def signature(form: SymmetricForm) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
-def is_negative_definite(gram: SymmetricForm) -> bool:
-    """Exact negative-definiteness test: the inertia is ``(0, rank, 0)``."""
-    return signature(gram) == (0, gram.rank, 0)
+def is_negative_definite(rows: Sequence[Sequence[int]]) -> bool:
+    """Exact negative-definiteness test: the integer `rows` have inertia ``(0, n, 0)``."""
+    return signature(rows) == (0, len(rows), 0)
 
 
 def solve_cleared(rows: Sequence[Sequence[int]],

@@ -70,7 +70,8 @@ def vec_scale(c, u) -> tuple:
 def is_exceptional_family(model: ConeModel, names) -> bool:
     """The naive filter the family walk is checked against: whether the
     named primes have a negative definite Gram matrix."""
-    return is_negative_definite(gram_matrix(model.form, [model.prime_vec[n] for n in names]))
+    vecs = [model.prime_vec[n] for n in names]
+    return is_negative_definite(gram_matrix(model.form, vecs).cleared[0])
 
 
 def grid_specs(count: int = 200) -> list[FixtureSpec]:

@@ -33,7 +33,7 @@ from zariski import (
     volume,
 )
 from zariski import engine
-from zariski.exact import as_vector, combine, describe, gram_matrix, solve_symmetric
+from zariski.exact import as_vector, combine, describe, gram_matrix, inner, solve_symmetric
 
 from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
 
@@ -416,12 +416,13 @@ def _negative_definite(rows) -> bool:
 
 def _reference_verify(model, alpha, positive_part, negative_coeffs):
     """`verify_certificate` in plain Fraction arithmetic: each invariant from
-    its definition, in the order and with the wording of the real checks."""
+    its definition, in the order and with the wording of the real checks.  A class or
+    positive part of the wrong length raises before any check."""
     vec_of = model.prime_vec
+    if len(alpha) != model.rank or len(positive_part) != model.rank:
+        raise DimensionMismatchError("a vector's length is not the rank")
 
     def image(u):  # Q·u, entry by entry
-        if len(u) != model.rank:
-            raise DimensionMismatchError("a vector's length is not the rank")
         return [sum((x * y for x, y in zip(row, u) if y), Q(0)) for row in model.form.entries]
 
     def pair(image_u, v):  # q(u, v)
@@ -475,11 +476,17 @@ def _tampered(model, alpha, positive, coeffs, s):
     yield alpha, tuple(-x for x in model.h), coeffs
 
 
-def test_verify_certificate_matches_the_fraction_reference(pool_decompositions):
+def test_verify_certificate_matches_the_fraction_reference(pool, pool_decompositions):
     """Same certificate, same violations in the same order and wording; the
-    tampering adds 1 on even pool cases and -1 on odd ones."""
+    tampering adds 1 on even cases and -1 on odd ones.  After the pool's own
+    decompositions come those of the first 50 pool models rescaled, whose form,
+    primes and ``h`` have denominators above 1, so an orthogonality value that
+    drops ``scale`` or a prime's denominator differs from the reference."""
+    rescaled = [(model, alpha, decompose(model, alpha))
+                for model, classes in ((_rescaled(m), c) for _, m, c in pool[:50])
+                for alpha in classes]
     kinds = Counter()
-    for k, (model, alpha, d) in enumerate(pool_decompositions):
+    for k, (model, alpha, d) in enumerate(pool_decompositions + rescaled):
         s = (-1) ** k
         for case in _tampered(model, alpha, d.positive_part, dict(d.negative_coeffs), s):
             got = verify_certificate(model, *case)
@@ -518,31 +525,27 @@ def test_verify_certificate_matches_the_reference_on_oversize_supports():
 
 
 def test_verify_certificate_raises_on_wrong_lengths_as_the_reference(s2):
-    """The reconstruction's strict zip raises `ValueError` first; a positive
-    part of the wrong length then raises `DimensionMismatchError`; a short
-    class with no nonzero coefficient only fails the reconstruction."""
+    """A class or positive part that is short or long raises
+    `DimensionMismatchError` before any check, whatever the coefficients."""
     d = decompose(s2, [1, 2, 1])
     a, z, c = d.alpha, d.positive_part, dict(d.negative_coeffs)
     cases = [
-        (a[:-1], z, c, ValueError),
-        (a[:-1], z[:-1], c, ValueError),
-        (a, z[:-1], c, DimensionMismatchError),
-        (a, z[:-1], {}, DimensionMismatchError),
-        (a[:-1], z[:-1], {}, DimensionMismatchError),
-        (a + (Q(0),), z, {}, None),
-        (a[:-1], z, {"c1": Q(0)}, None),
+        (a[:-1], z, c),
+        (a[:-1], z[:-1], c),
+        (a, z[:-1], c),
+        (a, z[:-1], {}),
+        (a[:-1], z[:-1], {}),
+        (a + (Q(0),), z, {}),
+        (a + (Q(0),), z, c),
+        (a[:-1], z, {"c1": Q(0)}),
+        (a, z + (Q(0),), c),
+        (a, z + (Q(0),), {"ghost": Q(-1)}),
     ]
-    for alpha, positive, coeffs, error in cases:
-        if error is None:
-            got = verify_certificate(s2, alpha, positive, coeffs)
-            assert got == _reference_verify(s2, alpha, positive, coeffs)
-            assert got[1] == ["reconstruction failed: positive part plus negative "
-                              "part does not equal the input class"]
-            continue
+    for alpha, positive, coeffs in cases:
         for verify in (verify_certificate, _reference_verify):
-            with pytest.raises(error) as info:
+            with pytest.raises(DimensionMismatchError) as info:
                 verify(s2, alpha, positive, coeffs)
-            assert type(info.value) is error
+            assert type(info.value) is DimensionMismatchError
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -660,13 +663,26 @@ def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
     assert not any(is_exceptional_family(model, subset) for subset in oversize)
 
 
-def test_the_loop_builds_no_fraction_gram(monkeypatch):
-    """Each round of the loop is one integer solve on a principal submatrix of
-    ``compiled.gram``; neither the Fraction Gram nor its solve runs."""
+def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
+    """`decompose` reads only ``model.compiled``: each round of the loop is one
+    integer solve on a principal submatrix of ``compiled.gram``, and neither the
+    loop, a closure refusal nor the certificate runs the Fraction Gram, its
+    solve, `inner` or ``ConeModel.q``.  Inputs: the A_8 chain, a closure refusal
+    on `s1` and the classes of the first 50 pool models rescaled."""
     model, alpha = a_n_chain(8)
+    cases = [(s1, as_vector([-1, 0]))]
+    cases += [(_rescaled(m), a) for _, m, classes in pool[:50] for a in classes]
 
     def refuse(*args):
-        raise AssertionError("the loop called a Fraction Gram or solve")
+        raise AssertionError("decompose called a Fraction Gram, solve or pairing")
+
+    def outcomes():
+        for m, a in cases:
+            try:
+                d = decompose(m, a)
+                yield d.positive_part, d.negative_coeffs
+            except NotPseudoEffectiveError as exc:
+                yield exc.reason, exc.detail
 
     solves = []
     solve = engine.solve_cleared
@@ -675,14 +691,20 @@ def test_the_loop_builds_no_fraction_gram(monkeypatch):
         solves.append(len(b))
         return solve(rows, b)
 
-    monkeypatch.setattr(engine, "gram_matrix", refuse)
-    monkeypatch.setattr(engine, "solve_symmetric", refuse)
+    for name in ("gram_matrix", "solve_symmetric", "inner"):
+        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(ConeModel, "q", refuse)
     monkeypatch.setattr(engine, "solve_cleared", spy)
-    positive, negative, rounds = engine._active_set(model, alpha)
-    assert rounds == 8 and solves == list(range(1, 9))
-    monkeypatch.undo()
     d = decompose(model, alpha)
-    assert (positive, negative) == (d.positive_part, d.negative_coeffs)
+    assert d.iterations == 8 and solves == list(range(1, 9))
+    guarded = list(outcomes())
+    assert guarded[0] == ("positive-cone-closure", {"q_self": Q(1), "q_h": Q(-1)})
+    # a failed certificate's orthogonality value comes off the integers as well
+    assert verify_certificate(s1, (1, 2), (1, 1), {"E": Q(1)})[1] == [
+        "orthogonality violated: q(positive_part, E) = -1", "positive part is not dual-nef"]
+    monkeypatch.undo()
+    assert guarded == list(outcomes())
+    assert (d.positive_part, d.negative_coeffs) == engine._active_set(model, alpha)[:2]
 
 
 def test_the_loop_clears_each_class_once(monkeypatch):
@@ -702,18 +724,18 @@ def test_the_loop_clears_each_class_once(monkeypatch):
 
     spy(ConeModel, "_cleared")
     spy(ConeModel, "in_positive_cone_closure")
-    spy(engine, "clear_denominators")
+    assert not hasattr(engine, "clear_denominators")
     assert engine._active_set(model, alpha)[2] == 8
     assert calls == {"_cleared": 9}
 
 
 def _rescaled(model: ConeModel) -> ConeModel:
-    """`model` with the form divided by 6 and prime k by k + 2, so that each
-    prime has its own denominator."""
+    """`model` with the form divided by 6, prime k by k + 2 and ``h`` by 5, so
+    that each prime has its own denominator; no sign changes."""
     return cone_model([[x / 6 for x in row] for row in model.form.entries],
                       [(p.name, [x / (k + 2) for x in p.vec])
                        for k, p in enumerate(model.primes)],
-                      model.h)
+                      [x / 5 for x in model.h])
 
 
 def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
@@ -779,6 +801,39 @@ def test_a_wrong_projection_ends_in_the_progress_guard(pool, monkeypatch):
                     decompose(model, alpha)
                 except NotPseudoEffectiveError:
                     pass
+
+
+def test_closure_refusal_values_off_scale_one(pool, monkeypatch):
+    """On the 200 rescaled grid models, 6 arbitrary fractional classes each: every
+    closure refusal reports `inner` on the final residual, ``q(Z, Z)`` and
+    ``q(Z, h)``, though the form, ``h``, the primes and the residual each have
+    a denominator.  The residual is the last projection's, or alpha when no
+    round ran."""
+    project = engine._project_primes
+    residuals = []
+
+    def spy(model, alpha, *args):
+        if (out := project(model, alpha, *args)) is not None:
+            residuals.append(out[1])
+        return out
+
+    monkeypatch.setattr(engine, "_project_primes", spy)
+    draw, rounds = random.Random(1), Counter()
+    for _, model, _ in pool:
+        model = _rescaled(model)
+        for _ in range(6):
+            alpha = as_vector(Q(draw.randint(-9, 9), draw.randint(1, 7))
+                              for _ in range(model.rank))
+            residuals[:] = [alpha]
+            try:
+                decompose(model, alpha)
+            except NotPseudoEffectiveError as exc:
+                if exc.reason == "positive-cone-closure":
+                    z = residuals[-1]
+                    assert exc.detail == {"q_self": inner(model.form, z, z),
+                                          "q_h": inner(model.form, z, model.h)}
+                    rounds[len(residuals) > 1] += 1
+    assert rounds == {False: 340, True: 351}  # no round ran, a round ran
 
 
 def test_engine_and_oracle_agree_on_arbitrary_classes(pool):

@@ -391,30 +391,26 @@ def test_symmetric_form_rejects_asymmetry():
 
 
 def test_signature_examples():
-    assert signature(symmetric_form([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
     # a zero leading entry where adding row and column 1 would keep it zero
-    assert signature(symmetric_form([[0, 1], [1, -2]])) == (1, 1, 0)
-    assert signature(symmetric_form([[2, 1], [1, 2]])) == (2, 0, 0)
-    assert signature(symmetric_form([[1, 0], [0, -1]])) == (1, 1, 0)
-    assert signature(symmetric_form([[0, 0], [0, 0]])) == (0, 0, 2)
-    assert signature(symmetric_form([])) == (0, 0, 0)
-    assert signature(
-        symmetric_form([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    ) == (0, 2, 1)
+    assert signature([[0, 1], [1, -2]]) == (1, 1, 0)
+    assert signature([[2, 1], [1, 2]]) == (2, 0, 0)
+    assert signature([[1, 0], [0, -1]]) == (1, 1, 0)
+    assert signature([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert signature([]) == (0, 0, 0)
+    assert signature([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]) == (0, 2, 1)
 
 
 def test_negative_definite_examples():
-    assert is_negative_definite(symmetric_form([[-2, 1], [1, -2]]))
-    assert is_negative_definite(symmetric_form([[-1]]))
-    assert is_negative_definite(symmetric_form([]))
-    assert not is_negative_definite(symmetric_form([[0]]))
-    assert not is_negative_definite(symmetric_form([[1]]))
-    assert not is_negative_definite(
-        symmetric_form([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    )
+    assert is_negative_definite([[-2, 1], [1, -2]])
+    assert is_negative_definite([[-1]])
+    assert is_negative_definite([])
+    assert not is_negative_definite([[0]])
+    assert not is_negative_definite([[1]])
+    assert not is_negative_definite([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
     # a zero pivot, first in the leading position, then in a later one
-    assert not is_negative_definite(symmetric_form([[0, 1], [1, -1]]))
-    assert not is_negative_definite(symmetric_form([[-1, 1], [1, -1]]))
+    assert not is_negative_definite([[0, 1], [1, -1]])
+    assert not is_negative_definite([[-1, 1], [1, -1]])
 
 
 def test_solve_symmetric_examples():
@@ -552,8 +548,9 @@ def test_integer_signature_matches_the_fraction_reduction(seed, n):
         c = -Q(rng.randint(1, 7), rng.randint(1, 7))
         rescaled = symmetric_form([[c * x for x in row] for row in form.entries])
         plus, minus, zero = _reference_signature(form)
-        assert signature(form) == (plus, minus, zero)
-        assert signature(rescaled) == _reference_signature(rescaled) == (minus, plus, zero)
+        assert signature(form.cleared[0]) == (plus, minus, zero)
+        assert (signature(rescaled.cleared[0]) == _reference_signature(rescaled)
+                == (minus, plus, zero))
 
 
 def test_schur_complement_refuses_an_inexact_division():
@@ -637,7 +634,7 @@ def test_signature_congruence_invariance(seed, n):
             for i in range(n)
         ]
     )
-    assert signature(form) == signature(conjugated)
+    assert signature(form.cleared[0]) == signature(conjugated.cleared[0])
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 5))
@@ -646,7 +643,7 @@ def test_negative_definite_agrees_with_signature(seed, n):
     """Two independent code paths must agree on definiteness."""
     rng = random.Random(seed)
     form = _random_symmetric(rng, n)
-    assert is_negative_definite(form) == (_reference_signature(form) == (0, n, 0))
+    assert is_negative_definite(form.cleared[0]) == (_reference_signature(form) == (0, n, 0))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 5))
@@ -663,10 +660,10 @@ def test_negative_definiteness_is_hereditary(seed, n):
         for i in range(n)
     ]
     g = symmetric_form(rows)
-    assert is_negative_definite(g)
+    assert is_negative_definite(g.cleared[0])
     keep = sorted(rng.sample(range(n), rng.randint(1, n)))
     sub = symmetric_form([[rows[i][j] for j in keep] for i in keep])
-    assert is_negative_definite(sub)
+    assert is_negative_definite(sub.cleared[0])
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 5))
@@ -695,7 +692,7 @@ def test_solve_symmetric_solves_exactly_the_negative_definite_systems(seed, n):
     g = _random_symmetric(rng, n)
     rhs = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
     x = solve_symmetric(g, rhs)
-    assert (x is None) == (not is_negative_definite(g))
+    assert (x is None) == (not is_negative_definite(g.cleared[0]))
     if x is not None:
         for i in range(n):
             assert sum(g.entries[i][j] * x[j] for j in range(n)) == rhs[i]
@@ -751,7 +748,7 @@ def test_one_elimination_matches_the_reference_reduction(n):
     for _ in range(25):
         for g in _elimination_cases(rng, n):
             definite = _reference_signature(g) == (0, n, 0)
-            assert is_negative_definite(g) == definite
+            assert is_negative_definite(g.cleared[0]) == definite
             for rhs in (
                 [rng.randint(-5, 5) for _ in range(n)],
                 [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],

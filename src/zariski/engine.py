@@ -98,20 +98,27 @@ class Decomposition:
         return tuple(n for n, c in self.negative_coeffs.items() if c > 0)
 
 
-def verify_certificate(
-    model: ConeModel,
-    alpha: Vector,
-    positive_part: Vector,
-    negative_coeffs: Mapping[str, Fraction],
-) -> tuple[Certificate, list[str]]:
+def verify_certificate(model: ConeModel, alpha: Vector, positive_part: Vector,
+                       negative_coeffs: Mapping[str, Fraction]) -> tuple[Certificate, list[str]]:
     """Re-check every certified invariant from raw data.
 
     Returns the certificate booleans together with a human-readable list of
     violations (empty when everything holds).  The reconstruction identity
     is checked as well even though it is not part of the certificate type.
-    Both vectors are cleared once by ``model._cleared`` (a wrong length raises first):
-    reconstruction is an integer identity, and every other check reads ``model.compiled``.
+    Both vectors are cleared by ``model._cleared`` (a wrong length raises first) for
+    :func:`_certify`, which :func:`decompose` runs on the state its loop ends with.
     """
+    (a, da), (z, dz) = map(model._cleared, (alpha, positive_part))
+    return _certify(model, a, da, z, dz, model._pairings(z), model._closure_pairings(z),
+                    negative_coeffs)
+
+
+def _certify(model: ConeModel, a: Sequence[int], da: int, z: Sequence[int], dz: int,
+             pairings: Sequence[int], closure: tuple[int, int],
+             negative_coeffs: Mapping[str, Fraction]) -> tuple[Certificate, list[str]]:
+    """The checks on cleared data: ``alpha = a / da``, the positive part ``z / dz``, its
+    ``model._pairings(z)`` and ``model._closure_pairings(z)``.  Reconstruction is an
+    integer identity, and every other check reads ``model.compiled``."""
     violations: list[str] = []
     position, c = model.prime_position, model.compiled
     for name in negative_coeffs:
@@ -119,26 +126,20 @@ def verify_certificate(
             violations.append(f"unknown prime '{name}' in negative part")
     usable = {n: k for n, k in negative_coeffs.items() if n in position}
 
-    (a, da), (z, dz) = map(model._cleared, (alpha, positive_part))
     terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items() if k]
     den = lcm(da, dz, *(q * c.dens[i] for _, q, i in terms))
     total = combine(tuple(x * (den // da) for x in a),  # den * (alpha - negative part)
                     ((-p * (den // (q * c.dens[i])), c.primes[i]) for p, q, i in terms))
     if total != tuple(y * (den // dz) for y in z):
-        violations.append(
-            "reconstruction failed: positive part plus negative part "
-            "does not equal the input class"
-        )
+        violations.append("reconstruction failed: positive part plus negative part "
+                          "does not equal the input class")
 
-    pairings = model._pairings(z)
     orthogonal = True
     for name in usable:
         if pairing := pairings[i := position[name]]:
             orthogonal = False
-            value = Fraction(pairing, c.scale * dz * c.dens[i])
-            violations.append(
-                f"orthogonality violated: q(positive_part, {name}) = {describe(value)}"
-            )
+            violations.append(f"orthogonality violated: q(positive_part, {name}) = "
+                              f"{describe(Fraction(pairing, c.scale * dz * c.dens[i]))}")
 
     # the principal submatrix of scale * D G D: congruent to the support's Gram G
     support = [position[n] for n, k in usable.items() if k > 0]
@@ -151,7 +152,7 @@ def verify_certificate(
         bad = {n: describe(k) for n, k in negative_coeffs.items() if k < 0}
         violations.append(f"negative part has negative coefficients: {bad}")
 
-    dual_nef = min(model._closure_pairings(z)) >= 0 and all(x >= 0 for x in pairings)
+    dual_nef = min(closure) >= 0 and all(x >= 0 for x in pairings)
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 
@@ -198,12 +199,14 @@ def _active_set(
     state.  The residual is exactly orthogonal to every active prime, so only inactive
     primes can pair negatively (an active one raises :class:`InternalInconsistencyError`).
     Alpha's pairings are the first scan and every round's right-hand side in integers
-    (:func:`_project_primes`); each residual is cleared once, for its scan and closure.
+    (:func:`_project_primes`); each residual is cleared and scanned once, and the last
+    one's clearing, scan and closure pairings feed :func:`_certify`, against alpha's own
+    clearing; a violation it finds raises :class:`InternalInconsistencyError`.
     """
     primes, c = model.primes, model.compiled
     a, den = model._cleared(alpha)
     b = pairings = model._pairings(a)
-    active, coeffs, current, rounds, d = [], (), alpha, 0, den
+    active, coeffs, current, rounds, z, d = [], (), alpha, 0, a, den
     while violating := [i for i, x in enumerate(pairings) if x < 0]:
         rounds += 1
         if stuck := [primes[i].name for i in violating if i in active]:
@@ -218,17 +221,20 @@ def _active_set(
                 subset=tuple(primes[i].name for i in active),
             )
         coeffs, current = projected
-        a, d = model._cleared(current)
-        pairings = model._pairings(a)
+        z, d = model._cleared(current)
+        pairings = model._pairings(z)
 
-    qh, qq = model._closure_pairings(a)
-    if qh < 0 or qq < 0:  # over the denominators of current = a / d
+    qh, qq = closure = model._closure_pairings(z)
+    if qh < 0 or qq < 0:  # over the denominators of current = z / d
         return NotPseudoEffectiveError(
             "positive-cone-closure",
             q_self=Fraction(qq, c.scale * d * d),
             q_h=Fraction(qh, c.scale * c.h_den * d),
         )
     negative = {primes[i].name: k for i, k in zip(active, coeffs)}
+    if violations := _certify(model, a, den, z, d, pairings, closure, negative)[1]:
+        raise InternalInconsistencyError("post-solve certificate verification failed: "
+                                         + "; ".join(violations))
     return current, negative, max(rounds, 1)
 
 
@@ -240,7 +246,8 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     the active set by all of them at once.  The run fails with
     :class:`NotPseudoEffectiveError` as soon as the active Gram matrix stops being
     negative definite, or when the final residual falls outside the closed positive
-    cone.  On success all four certificate invariants are re-verified from scratch.
+    cone.  On success all four certificate invariants are re-verified by :func:`_certify`
+    against the raw ``alpha``, on the final residual's own clearing and pairings.
     A model that breaks the cone axioms raises :class:`InvalidModelError` (the
     validation report is cached on the model, so this costs one read after the
     first call).  Every sign the loop reads, and every system it solves, is in
@@ -251,18 +258,7 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     solved = _active_set(model, alpha)
     if isinstance(solved, NotPseudoEffectiveError):
         raise solved
-    positive, negative, rounds = solved
-    _, violations = verify_certificate(model, alpha, positive, negative)
-    if violations:
-        raise InternalInconsistencyError(
-            "post-solve certificate verification failed: " + "; ".join(violations)
-        )
-    return Decomposition(
-        alpha=alpha,
-        positive_part=positive,
-        negative_coeffs=negative,
-        iterations=rounds,
-    )
+    return Decomposition(alpha, *solved)  # positive part, negative coefficients, rounds
 
 
 def _volume(model: ConeModel, positive_part: Vector) -> Fraction:
@@ -273,7 +269,8 @@ def _volume(model: ConeModel, positive_part: Vector) -> Fraction:
     interpreter's int-to-str limit; such a power raises :class:`OverflowError`
     at once instead of being computed.
     """
-    qzz, m = model.q(positive_part, positive_part), model.m
+    z, d = model._cleared(positive_part)  # q(Z, Z) is z·(sQ)·z over scale·d²
+    qzz, m = Fraction(model._closure_pairings(z)[1], model.compiled.scale * d * d), model.m
     limit = sys.get_int_max_str_digits()
     for part in (qzz.numerator, qzz.denominator):
         if limit and 3 * (part.bit_length() - 1) * m >= 10 * limit:

@@ -26,6 +26,7 @@ from zariski import (
     brute_force_decompose,
     cone_model,
     decompose,
+    decomposition_to_json,
     del_pezzo,
     enumerate_exceptional_families,
     load_model,
@@ -365,12 +366,46 @@ def test_verify_certificate_flags_unknown_prime(s1):
     assert any("unknown prime" in v for v in violations)
 
 
+def test_verify_certificate_counts_an_unknown_primes_coefficient_against_effectivity(s1):
+    cert, violations = verify_certificate(s1, (1, 0), (1, 0), {"ghost": Q(-1)})
+    assert cert == Certificate(True, True, False, True)
+    assert violations == ["unknown prime 'ghost' in negative part",
+                          "negative part has negative coefficients: {'ghost': '-1'}"]
+
+
+def test_verify_certificate_names_only_the_negative_coefficients(s2):
+    cert, violations = verify_certificate(s2, (0, -1, 0), (0, 0, 0),
+                                          {"c1": Q(-1), "c2": Q(0)})
+    assert cert == Certificate(True, True, False, True)
+    assert violations == ["negative part has negative coefficients: {'c1': '-1'}"]
+
+
 def test_verify_certificate_flags_failed_reconstruction(affine_a2):
     _, violations = verify_certificate(
         affine_a2, as_vector([0, 0, 1, 1]), as_vector([0, 0, 0, 1]),
         {"c1": Q(1), "c2": Q(1)},
     )
     assert any("reconstruction failed" in v for v in violations)
+
+
+def test_verify_certificate_flags_a_class_with_its_own_denominator(s1):
+    """The common denominator of the identity includes alpha's own: here neither
+    the positive part nor the (empty) negative part has the class's 7."""
+    cert, violations = verify_certificate(s1, (Q(1, 7), 0), (0, 0), {})
+    assert cert.all_passed
+    assert violations == ["reconstruction failed: positive part plus negative part "
+                          "does not equal the input class"]
+
+
+def test_verify_certificate_reads_support_from_positive_coefficients(affine_a2):
+    """A negative coefficient is a failed effectivity, and its prime stays out of the
+    support: c1, c2 alone are negative definite, with c3 they are singular."""
+    cert, violations = verify_certificate(
+        affine_a2, as_vector([-1, 0, 2, 2]), as_vector([0, 0, 0, 0]),
+        {"c1": Q(1), "c2": Q(1), "c3": Q(-1)},
+    )
+    assert cert == Certificate(True, True, False, True)
+    assert violations == ["negative part has negative coefficients: {'c3': '-1'}"]
 
 
 def test_verify_certificate_reads_support_below_one(affine_a2):
@@ -666,9 +701,10 @@ def test_oversize_active_sets_are_refused_before_any_gram(monkeypatch):
 def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
     """`decompose` reads only ``model.compiled``: each round of the loop is one
     integer solve on a principal submatrix of ``compiled.gram``, and neither the
-    loop, a closure refusal nor the certificate runs the Fraction Gram, its
-    solve, `inner` or ``ConeModel.q``.  Inputs: the A_8 chain, a closure refusal
-    on `s1` and the classes of the first 50 pool models rescaled."""
+    loop, a closure refusal, the certificate nor a result's JSON document (its
+    volume included) runs the Fraction Gram, its solve, `inner` or
+    ``ConeModel.q``.  Inputs: the A_8 chain, a closure refusal on `s1` and the
+    classes of the first 50 pool models rescaled."""
     model, alpha = a_n_chain(8)
     cases = [(s1, as_vector([-1, 0]))]
     cases += [(_rescaled(m), a) for _, m, classes in pool[:50] for a in classes]
@@ -680,7 +716,7 @@ def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
         for m, a in cases:
             try:
                 d = decompose(m, a)
-                yield d.positive_part, d.negative_coeffs
+                yield d.positive_part, d.negative_coeffs, decomposition_to_json(m, d)
             except NotPseudoEffectiveError as exc:
                 yield exc.reason, exc.detail
 
@@ -707,10 +743,11 @@ def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
     assert (d.positive_part, d.negative_coeffs) == engine._active_set(model, alpha)[:2]
 
 
-def test_the_loop_clears_each_class_once(monkeypatch):
-    """Alpha is cleared once and each round's residual once, and the last cleared
-    residual answers the closure test: on the A_8 chain, 9 clears for 8 rounds."""
-    model, alpha = a_n_chain(8)
+def test_the_loop_clears_each_class_once(pool, monkeypatch):
+    """One `decompose`, certificate included, clears alpha once and each round's
+    residual once, scans each of them once, and takes the last one's closure
+    pairings once: ``rounds + 1`` clears and scans, 9 of each for the A_8 chain's
+    8 rounds, and the same identity over the 1000 pool classes."""
     calls = Counter()
 
     def spy(owner, name):
@@ -722,11 +759,49 @@ def test_the_loop_clears_each_class_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(ConeModel, "_cleared")
-    spy(ConeModel, "in_positive_cone_closure")
+    for name in ("_cleared", "_pairings", "_closure_pairings", "in_positive_cone_closure"):
+        spy(ConeModel, name)
+    spy(engine, "_project_primes")
     assert not hasattr(engine, "clear_denominators")
-    assert engine._active_set(model, alpha)[2] == 8
-    assert calls == {"_cleared": 9}
+    assert decompose(*a_n_chain(8)).iterations == 8
+    assert calls == {"_cleared": 9, "_pairings": 9, "_closure_pairings": 1, "_project_primes": 8}
+    calls.clear()
+    for _, model, classes in pool:
+        for alpha in classes:
+            decompose(model, alpha)
+    assert calls == {"_cleared": 1569, "_pairings": 1569, "_closure_pairings": 1000,
+                     "_project_primes": 569}
+
+
+def test_a_wrong_coefficient_fails_the_certificate_against_alpha(s2, pool, monkeypatch):
+    """A projection whose residual is right but one of whose coefficients is off by
+    one leaves the loop nothing to object to: the residual still pairs to zero with
+    every active prime.  The certificate's reconstruction, an identity against the
+    raw alpha, refuses each such result: the loop's output is not taken on its word."""
+    project = engine._project_primes
+    wrong = []
+
+    def mutant(model, alpha, *args):
+        if (out := project(model, alpha, *args)) is None:
+            return None
+        wrong.append(alpha)
+        return (out[0][0] + 1, *out[0][1:]), out[1]
+
+    monkeypatch.setattr(engine, "_project_primes", mutant)
+    cases = [(s2, as_vector([1, 0, -1])), a_n_chain(8)]
+    cases += [(model, alpha) for _, model, classes in pool[:20] for alpha in classes]
+    raised = 0
+    for model, alpha in cases:
+        wrong.clear()
+        try:
+            decompose(model, alpha)
+        except InternalInconsistencyError as exc:
+            assert str(exc).startswith(
+                "post-solve certificate verification failed: reconstruction failed")
+            raised += 1
+        else:
+            assert not wrong  # no round ran, so nothing was tampered with
+    assert raised == 57  # the two examples and the 55 pool classes that take a round
 
 
 def _rescaled(model: ConeModel) -> ConeModel:
@@ -872,9 +947,10 @@ def test_oracle_cross_checks_the_walk(affine_a2, monkeypatch):
 
 
 def test_engine_and_oracle_raise_when_their_certificate_fails(s1, monkeypatch):
-    real = engine.verify_certificate
-    monkeypatch.setattr(engine, "verify_certificate",
-                        lambda *args: (real(*args)[0], ["tampered"]))
+    """Both run the one certificate body: the loop's exit on its own cleared state,
+    the oracle through `verify_certificate`."""
+    real = engine._certify
+    monkeypatch.setattr(engine, "_certify", lambda *args: (real(*args)[0], ["tampered"]))
     with pytest.raises(InternalInconsistencyError,
                        match="post-solve certificate verification failed: tampered"):
         decompose(s1, [1, 2])
@@ -1003,6 +1079,20 @@ def test_volume_positive_iff_big(pool_decompositions):
         z = d.positive_part
         assert v >= 0
         assert (v > 0) == (model.q(z, z) > 0 and model.q(z, model.h) > 0)
+
+
+def test_volume_is_the_fraction_self_pairing_of_the_positive_part(pool):
+    """``q(Z, Z)**m``, read off the integers over ``scale·d²``, equals `inner` on the
+    Fraction positive part: the first 50 pool models' classes, on each model and
+    on it rescaled, where the form's ``scale`` and the positive part's ``d`` exceed 1."""
+    fractional = Counter()
+    for _, model, classes in pool[:50]:
+        for m in (model, _rescaled(model)):
+            for alpha in classes:
+                z = decompose(m, alpha).positive_part
+                assert volume(m, alpha) == inner(m.form, z, z) ** m.m
+                fractional[any(x.denominator > 1 for x in z)] += 1
+    assert fractional == {True: 416, False: 84}
 
 
 # -- closed-form oracle for the rank-2 single-prime model ---------------------

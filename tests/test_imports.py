@@ -119,6 +119,18 @@ def test_only_pairings_reads_the_prime_images(path):
     assert bool(reads) == bool(owner) == (path.name == "cone.py")
 
 
+def test_the_certificate_reuses_the_loops_clearing_and_scan():
+    """One clearing and one scan per vector: the certificate body ``engine._certify``
+    clears, scans and pairs with ``h`` nothing itself, the `decompose` path never
+    runs the standalone `verify_certificate`, and both entry points run the one body."""
+    tree = ast.parse((ROOT / "src/zariski/engine.py").read_text(encoding="utf-8"))
+    reads = {fn.name: _mentions(fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert [name for name in ("_cleared", "_pairings", "_closure_pairings")
+            if reads["_certify"][name]] == []
+    assert reads["decompose"]["verify_certificate"] == reads["_active_set"]["verify_certificate"] == 0
+    assert reads["verify_certificate"]["_certify"] == reads["_active_set"]["_certify"] == 1
+
+
 def _layer_functions() -> dict:
     """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
     tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))

@@ -23,7 +23,6 @@ from .exact import (
     clear_denominators,
     describe,
     dot,
-    inner,
     signature,
     symmetric_form,
 )
@@ -112,9 +111,6 @@ class ConeModel:
     @property
     def rank(self) -> int:
         return self.form.rank
-
-    def q(self, u: Sequence, v: Sequence) -> Fraction:
-        return inner(self.form, u, v)
 
     @cached_property
     def prime_vec(self) -> dict[str, Vector]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .cone import ConeModel
@@ -126,7 +126,7 @@ def _certify(model: ConeModel, a: Sequence[int], da: int, z: Sequence[int], dz: 
             violations.append(f"unknown prime '{name}' in negative part")
     usable = {n: k for n, k in negative_coeffs.items() if n in position}
 
-    terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items() if k]
+    terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items()]
     den = lcm(da, dz, *(q * c.dens[i] for _, q, i in terms))
     total = combine(tuple(x * (den // da) for x in a),  # den * (alpha - negative part)
                     ((-p * (den // (q * c.dens[i])), c.primes[i]) for p, q, i in terms))
@@ -172,21 +172,24 @@ def _project(
     return coeffs, combine(alpha, ((-c, v) for c, v in zip(coeffs, vecs)))
 
 
-def _project_primes(model: ConeModel, alpha: Vector, b: Sequence[int], den: int,
-                    active: list[int]) -> tuple[Vector, Vector] | None:
+def _project_primes(model: ConeModel, a: Sequence[int], b: Sequence[int], den: int,
+                    active: list[int]) -> tuple[Sequence[int], int, Sequence[int], int] | None:
     """:func:`_project` of ``alpha = a / den`` off the primes at `active`, in integers:
-    ``M_F y = b_F`` for ``M = compiled.gram`` and alpha's pairings ``b = model._pairings(a)``,
-    and ``c_i = dens[i] * y_i / den``.  ``M_F = scale * D G D`` for the Fraction Gram ``G``
-    and the positive diagonal ``D`` of ``dens``, so it is negative definite iff ``G`` is."""
+    ``(y, det, z, d)`` with ``M_F y = det(M_F) b_F`` for ``M = compiled.gram`` and alpha's
+    pairings ``b = model._pairings(a)``, coefficients ``c_i = dens[i] y_i / (det den)`` and
+    the residual ``z / d = (det a - sum y_i compiled.primes[i]) / (det den)`` in lowest terms,
+    ``d > 0``.  ``M_F = scale * D G D`` for the Fraction Gram ``G`` and the positive diagonal
+    ``D`` of ``dens``, so it is negative definite iff ``G`` is."""
     if len(active) >= model.rank:  # not negative definite in signature (1, r - 1)
         return None
     c = model.compiled
     if (solved := solve_cleared([[c.gram[i][j] for j in active] for i in active],
                                 [b[i] for i in active])) is None:
         return None
-    z, det = solved  # z = det(M_F) * y
-    coeffs = tuple(Fraction(c.dens[i] * zi, det * den) for i, zi in zip(active, z))
-    return coeffs, combine(alpha, ((-k, model.primes[i].vec) for k, i in zip(coeffs, active)))
+    y, det = solved
+    z = combine(tuple(det * x for x in a), ((-yi, c.primes[i]) for yi, i in zip(y, active)))
+    g = gcd(*z, det * den) * (1 if det > 0 else -1)  # det alternates in sign with |F|
+    return y, det, tuple(x // g for x in z), det * den // g
 
 
 def _active_set(
@@ -197,45 +200,46 @@ def _active_set(
     Returns ``(positive_part, negative_coeffs, rounds)``, or the refusal as a value:
     :func:`decompose` raises it, so its traceback pins none of this frame's working
     state.  The residual is exactly orthogonal to every active prime, so only inactive
-    primes can pair negatively (an active one raises :class:`InternalInconsistencyError`).
-    Alpha's pairings are the first scan and every round's right-hand side in integers
-    (:func:`_project_primes`); each residual is cleared and scanned once, and the last
-    one's clearing, scan and closure pairings feed :func:`_certify`, against alpha's own
-    clearing; a violation it finds raises :class:`InternalInconsistencyError`.
+    primes can pair negatively, and the active set grows every round: an active violator
+    or a round past the prime count raises :class:`InternalInconsistencyError`.  Alpha
+    is cleared once, and its pairings are the first scan and every round's right-hand side.
+    Each residual comes cleared from :func:`_project_primes` and is scanned once; the last
+    one's scan and closure pairings feed :func:`_certify` against alpha's own clearing (a
+    violation raises), and Fractions are built only at the exit.
     """
     primes, c = model.primes, model.compiled
     a, den = model._cleared(alpha)
     b = pairings = model._pairings(a)
-    active, coeffs, current, rounds, z, d = [], (), alpha, 0, a, den
+    active, y, det, rounds, z, d = [], (), 1, 0, a, den
     while violating := [i for i, x in enumerate(pairings) if x < 0]:
         rounds += 1
         if stuck := [primes[i].name for i in violating if i in active]:
             raise InternalInconsistencyError(
                 f"round {rounds}: the residual pairs negatively with active primes {stuck}"
             )
+        if rounds > len(primes):
+            raise InternalInconsistencyError(f"round {rounds}: more rounds than primes")
         active = sorted({*active, *violating})
-        projected = _project_primes(model, alpha, b, den, active)
-        if projected is None:
+        if (projected := _project_primes(model, a, b, den, active)) is None:
             return NotPseudoEffectiveError(
                 "gram-not-negative-definite",
                 subset=tuple(primes[i].name for i in active),
             )
-        coeffs, current = projected
-        z, d = model._cleared(current)
+        y, det, z, d = projected
         pairings = model._pairings(z)
 
     qh, qq = closure = model._closure_pairings(z)
-    if qh < 0 or qq < 0:  # over the denominators of current = z / d
+    if qh < 0 or qq < 0:  # over the denominators of the residual z / d
         return NotPseudoEffectiveError(
             "positive-cone-closure",
             q_self=Fraction(qq, c.scale * d * d),
             q_h=Fraction(qh, c.scale * c.h_den * d),
         )
-    negative = {primes[i].name: k for i, k in zip(active, coeffs)}
+    negative = {primes[i].name: Fraction(c.dens[i] * yi, det * den) for i, yi in zip(active, y)}
     if violations := _certify(model, a, den, z, d, pairings, closure, negative)[1]:
         raise InternalInconsistencyError("post-solve certificate verification failed: "
                                          + "; ".join(violations))
-    return current, negative, max(rounds, 1)
+    return tuple(Fraction(x, d) for x in z) if rounds else alpha, negative, max(rounds, 1)
 
 
 def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
@@ -250,8 +254,8 @@ def decompose(model: ConeModel, alpha: Sequence) -> Decomposition:
     against the raw ``alpha``, on the final residual's own clearing and pairings.
     A model that breaks the cone axioms raises :class:`InvalidModelError` (the
     validation report is cached on the model, so this costs one read after the
-    first call).  Every sign the loop reads, and every system it solves, is in
-    integers on ``model.compiled``.
+    first call).  Every sign, solve and residual of the loop is in integers on
+    ``model.compiled``.
     """
     model.require_valid()
     alpha = as_vector(alpha)

@@ -18,7 +18,7 @@ from zariski import (
     gen_pseudoeffective_class,
     spec_grid,
 )
-from zariski.exact import gram_matrix, is_negative_definite
+from zariski.exact import gram_matrix, inner, is_negative_definite
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -111,7 +111,7 @@ def orthogonal_sets(model) -> list[tuple[str, ...]]:
     """
     vecs = [p.vec for p in model.primes]
     names = model.prime_names()
-    orthogonal = [[model.q(u, v) == 0 for v in vecs] for u in vecs]
+    orthogonal = [[inner(model.form, u, v) == 0 for v in vecs] for u in vecs]
     out = [()]
 
     def extend(family, allowed):

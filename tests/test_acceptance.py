@@ -30,7 +30,7 @@ from zariski import (
 )
 from zariski.bundle import L
 from zariski.cli import main
-from zariski.exact import as_vector, gram_matrix, is_negative_definite
+from zariski.exact import as_vector, gram_matrix, inner, is_negative_definite
 
 from conftest import is_exceptional_family, vec_add, vec_scale
 
@@ -137,7 +137,7 @@ def test_criterion_5_property_suite(pool, pool_decompositions):
         assert reconstructed == alpha
         for name in d.support:
             vec = model.prime_vec[name]
-            assert model.q(d.positive_part, vec) == 0
+            assert inner(model.form, d.positive_part, vec) == 0
         support_vecs = [model.prime_vec[n] for n in d.support]
         assert is_negative_definite(gram_matrix(model.form, support_vecs).cleared[0])
         assert len(d.support) <= model.rank

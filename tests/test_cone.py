@@ -18,7 +18,7 @@ from zariski import (
     enumerate_exceptional_families,
 )
 from zariski.cone import CompiledModel, PrimeClass
-from zariski.exact import dot
+from zariski.exact import dot, inner
 
 from conftest import vec_add, vec_scale
 
@@ -125,13 +125,14 @@ def test_compiled_view_matches_exact_pairings(model):
     assert c.h == tuple(e * x for x in model.h)
     qh = tuple(sum(x * y for x, y in zip(row, model.h)) for row in model.form.entries)
     assert tuple(Q(x, s * e) for x in c.qh) == qh
-    assert Q(dot(c.qh, c.h), s * e * e) == model.q(model.h, model.h)
+    assert Q(dot(c.qh, c.h), s * e * e) == inner(model.form, model.h, model.h)
     for p, vec, den in zip(model.primes, c.primes, c.dens):
         assert vec == tuple(den * x for x in p.vec)
-        assert Q(dot(c.qh, vec), s * e * den) == model.q(model.h, p.vec)
+        assert Q(dot(c.qh, vec), s * e * den) == inner(model.form, model.h, p.vec)
     for i, p in enumerate(model.primes):
         for j, p2 in enumerate(model.primes):
-            assert Q(c.gram[i][j], s * c.dens[i] * c.dens[j]) == model.q(p.vec, p2.vec)
+            assert (Q(c.gram[i][j], s * c.dens[i] * c.dens[j])
+                    == inner(model.form, p.vec, p2.vec))
 
 
 def _cleared(vec) -> tuple[tuple[int, ...], int]:

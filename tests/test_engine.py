@@ -1,6 +1,7 @@
 """Decomposition engine: frozen examples, failure modes, and invariants."""
 from __future__ import annotations
 
+import inspect
 import pickle
 import random
 import sys
@@ -34,7 +35,8 @@ from zariski import (
     volume,
 )
 from zariski import engine
-from zariski.exact import as_vector, combine, describe, gram_matrix, inner, solve_symmetric
+from zariski.exact import (as_vector, clear_denominators, combine, describe, gram_matrix, inner,
+                           solve_symmetric)
 
 from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
 
@@ -105,6 +107,8 @@ def test_results_are_lean(s1):
     alpha = (Q(1), Q(2))
     d = decompose(s1, alpha)
     assert d.alpha is alpha
+    nef = (Q(1), Q(0))  # no round runs, so the positive part is the class itself
+    assert decompose(s1, nef).positive_part is nef
     assert not hasattr(d, "__dict__")
     assert d.certificate is Decomposition.certificate
     assert isinstance(d.certificate, tuple)
@@ -639,7 +643,7 @@ def a_n_chain(n: int):
     alpha = vec_scale(10 * n, as_vector([1] + [0] * (n + 1)))
     for c, p in zip(coeffs, model.primes):
         alpha = vec_add(alpha, vec_scale(c, p.vec))
-    assert [model.q(alpha, p.vec) for p in model.primes] == targets
+    assert [inner(model.form, alpha, p.vec) for p in model.primes] == targets
     return model, alpha
 
 
@@ -702,9 +706,9 @@ def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
     """`decompose` reads only ``model.compiled``: each round of the loop is one
     integer solve on a principal submatrix of ``compiled.gram``, and neither the
     loop, a closure refusal, the certificate nor a result's JSON document (its
-    volume included) runs the Fraction Gram, its solve, `inner` or
-    ``ConeModel.q``.  Inputs: the A_8 chain, a closure refusal on `s1` and the
-    classes of the first 50 pool models rescaled."""
+    volume included) runs the Fraction Gram, its solve or `inner`.  Inputs: the
+    A_8 chain, a closure refusal on `s1` and the classes of the first 50 pool
+    models rescaled."""
     model, alpha = a_n_chain(8)
     cases = [(s1, as_vector([-1, 0]))]
     cases += [(_rescaled(m), a) for _, m, classes in pool[:50] for a in classes]
@@ -729,7 +733,6 @@ def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
 
     for name in ("gram_matrix", "solve_symmetric", "inner"):
         monkeypatch.setattr(engine, name, refuse)
-    monkeypatch.setattr(ConeModel, "q", refuse)
     monkeypatch.setattr(engine, "solve_cleared", spy)
     d = decompose(model, alpha)
     assert d.iterations == 8 and solves == list(range(1, 9))
@@ -744,10 +747,10 @@ def test_the_loop_builds_no_fraction_gram(s1, pool, monkeypatch):
 
 
 def test_the_loop_clears_each_class_once(pool, monkeypatch):
-    """One `decompose`, certificate included, clears alpha once and each round's
-    residual once, scans each of them once, and takes the last one's closure
-    pairings once: ``rounds + 1`` clears and scans, 9 of each for the A_8 chain's
-    8 rounds, and the same identity over the 1000 pool classes."""
+    """One `decompose`, certificate included, clears alpha once, scans it and each
+    round's residual once, which `_project_primes` forms already cleared, and takes
+    the last one's closure pairings once: one clear and ``rounds + 1`` scans, 1 and
+    9 for the A_8 chain's 8 rounds, and the same identity over the 1000 pool classes."""
     calls = Counter()
 
     def spy(owner, name):
@@ -764,12 +767,12 @@ def test_the_loop_clears_each_class_once(pool, monkeypatch):
     spy(engine, "_project_primes")
     assert not hasattr(engine, "clear_denominators")
     assert decompose(*a_n_chain(8)).iterations == 8
-    assert calls == {"_cleared": 9, "_pairings": 9, "_closure_pairings": 1, "_project_primes": 8}
+    assert calls == {"_cleared": 1, "_pairings": 9, "_closure_pairings": 1, "_project_primes": 8}
     calls.clear()
     for _, model, classes in pool:
         for alpha in classes:
             decompose(model, alpha)
-    assert calls == {"_cleared": 1569, "_pairings": 1569, "_closure_pairings": 1000,
+    assert calls == {"_cleared": 1000, "_pairings": 1569, "_closure_pairings": 1000,
                      "_project_primes": 569}
 
 
@@ -781,11 +784,11 @@ def test_a_wrong_coefficient_fails_the_certificate_against_alpha(s2, pool, monke
     project = engine._project_primes
     wrong = []
 
-    def mutant(model, alpha, *args):
-        if (out := project(model, alpha, *args)) is None:
+    def mutant(model, a, *args):
+        if (out := project(model, a, *args)) is None:
             return None
-        wrong.append(alpha)
-        return (out[0][0] + 1, *out[0][1:]), out[1]
+        wrong.append(a)
+        return (out[0][0] + 1, *out[0][1:]), *out[1:]
 
     monkeypatch.setattr(engine, "_project_primes", mutant)
     cases = [(s2, as_vector([1, 0, -1])), a_n_chain(8)]
@@ -819,7 +822,8 @@ def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
     n = 3..10, one arbitrary integer class per grid model (for refusals at a
     pivot) and the first 50 pool models' classes with rescaled primes, the
     loop's integer projection and the oracle's Fraction `_project` give the
-    same coefficients and residual, or both refuse.  Each round is compared
+    same coefficients, the loop's cleared residual ``(z, d)`` is the oracle's
+    residual cleared to lowest terms, or both refuse.  Each round is compared
     as it runs, so a wrong projection fails here rather than looping on."""
     cases = [(model, alpha) for _, model, classes in pool for alpha in classes]
     r7, draw = del_pezzo(7), random.Random(7)
@@ -832,9 +836,17 @@ def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
     kinds = Counter()
     project = engine._project_primes
 
-    def spy(model, alpha, b, den, active):
-        out = project(model, alpha, b, den, active)
-        assert out == engine._project(model.form, alpha, [model.primes[i].vec for i in active])
+    def spy(model, a, b, den, active):
+        out = project(model, a, b, den, active)
+        alpha = tuple(Q(x, den) for x in a)
+        oracle = engine._project(model.form, alpha, [model.primes[i].vec for i in active])
+        if out is None:
+            assert oracle is None
+        else:
+            y, det, z, d = out
+            dens = model.compiled.dens
+            coeffs = tuple(Q(dens[i] * yi, det * den) for i, yi in zip(active, y))
+            assert (coeffs, (z, d)) == (oracle[0], clear_denominators(oracle[1]))
         kinds["solved" if out else "oversize" if len(active) >= model.rank else "pivot"] += 1
         return out
 
@@ -848,23 +860,25 @@ def test_integer_projection_matches_the_fraction_projection(pool, monkeypatch):
 
 
 def test_a_wrong_projection_ends_in_the_progress_guard(pool, monkeypatch):
-    """A projection that drops each prime's denominator from its coefficient leaves
-    residuals that pair negatively with active primes on the rescaled pool models;
-    the loop raises instead of solving the same system again and again.  The
-    wrapper stops a decomposition past ``rank + 1`` projections, which no loop
-    that grows its active set each round can reach."""
+    """A projection that subtracts ``y_i * p_i`` where ``y_i * compiled.primes[i]``
+    belongs, dropping each prime's denominator, leaves residuals that pair
+    negatively with active primes on the rescaled pool models; the loop raises
+    instead of solving the same system again and again.  The wrapper stops a
+    decomposition past ``rank + 1`` projections, which no loop that grows its
+    active set each round can reach."""
     project = engine._project_primes
     projections = Counter()
 
-    def mutant(model, alpha, *args):
-        projections[alpha] += 1
-        if projections[alpha] > model.rank + 1:
-            raise AssertionError(f"{projections[alpha]} projections of one class")
-        if (out := project(model, alpha, *args)) is None:
+    def mutant(model, a, b, den, active):
+        projections[a] += 1
+        if projections[a] > model.rank + 1:
+            raise AssertionError(f"{projections[a]} projections of one class")
+        if (out := project(model, a, b, den, active)) is None:
             return None
-        active, dens = args[-1], model.compiled.dens
-        coeffs = tuple(k / dens[i] for k, i in zip(out[0], active))
-        return coeffs, combine(alpha, ((-k, model.primes[i].vec) for k, i in zip(coeffs, active)))
+        y, det = out[:2]
+        z = combine(tuple(det * x for x in a),
+                    ((-yi, model.primes[i].vec) for yi, i in zip(y, active)))
+        return y, det, *clear_denominators(tuple(Q(x, det * den) for x in z))
 
     monkeypatch.setattr(engine, "_project_primes", mutant)
     with pytest.raises(InternalInconsistencyError, match="active primes"):
@@ -878,6 +892,42 @@ def test_a_wrong_projection_ends_in_the_progress_guard(pool, monkeypatch):
                     pass
 
 
+def test_a_loop_that_forgets_its_active_set_ends_in_the_round_bound(pool, monkeypatch):
+    """A loop whose active set is the latest violators alone, not their union with
+    the earlier ones, cycles between projections on 51 pool classes and on the
+    A_3, A_5 and A_8 chains; the round bound raises on each of them instead.  The
+    mutant is `_active_set`'s own source with that one line replaced, run in
+    `engine`'s namespace.  Its projections are capped at ``len(primes) + 1`` per
+    class, past the bound, so a loop without the bound fails here, not hangs."""
+    line = "active = sorted({*active, *violating})"
+    source = inspect.getsource(engine._active_set)
+    assert source.count(line) == 1
+    namespace = dict(vars(engine))
+    exec(source.replace(line, "active = sorted(violating)"), namespace)
+    project, projections = engine._project_primes, Counter()
+
+    def capped(model, a, *args):
+        projections[a] += 1
+        if projections[a] > len(model.primes) + 1:
+            raise AssertionError(f"{projections[a]} projections of one class")
+        return project(model, a, *args)
+
+    namespace["_project_primes"] = capped
+    monkeypatch.setattr(engine, "_active_set", namespace["_active_set"])
+    cases = [(model, alpha) for _, model, classes in pool for alpha in classes]
+    bounded = []
+    for k, (model, alpha) in enumerate(cases + [a_n_chain(n) for n in (3, 5, 8)]):
+        projections.clear()
+        try:
+            decompose(model, alpha)
+        except InternalInconsistencyError as exc:
+            if str(exc) == f"round {len(model.primes) + 1}: more rounds than primes":
+                bounded.append(k)
+        except NotPseudoEffectiveError:
+            pass
+    assert len(bounded) == 54 and bounded[-3:] == [1000, 1001, 1002]
+
+
 def test_closure_refusal_values_off_scale_one(pool, monkeypatch):
     """On the 200 rescaled grid models, 6 arbitrary fractional classes each: every
     closure refusal reports `inner` on the final residual, ``q(Z, Z)`` and
@@ -887,9 +937,9 @@ def test_closure_refusal_values_off_scale_one(pool, monkeypatch):
     project = engine._project_primes
     residuals = []
 
-    def spy(model, alpha, *args):
-        if (out := project(model, alpha, *args)) is not None:
-            residuals.append(out[1])
+    def spy(*args):
+        if (out := project(*args)) is not None:
+            residuals.append(tuple(Q(x, out[3]) for x in out[2]))
         return out
 
     monkeypatch.setattr(engine, "_project_primes", spy)
@@ -913,7 +963,9 @@ def test_closure_refusal_values_off_scale_one(pool, monkeypatch):
 
 def test_engine_and_oracle_agree_on_arbitrary_classes(pool):
     """The refusal gate: the first 3 of the benchmark cli workload's 10
-    integer classes per grid model, entries in [-4, 4], drawn from seed 0."""
+    integer classes per grid model, entries in [-4, 4], drawn from seed 0.  A
+    definiteness refusal names the whole active set, which is not exceptional,
+    not only the primes that joined it last."""
     draw = random.Random(0)
     verdicts = Counter()
     for _, model, _ in pool:
@@ -925,6 +977,8 @@ def test_engine_and_oracle_agree_on_arbitrary_classes(pool):
                 d = decompose(model, alpha)
             except NotPseudoEffectiveError as exc:
                 verdicts[exc.reason] += 1
+                if exc.reason == "gram-not-negative-definite":
+                    assert not is_exceptional_family(model, exc.detail["subset"])
                 with pytest.raises(NotPseudoEffectiveError, match="no-candidate"):
                     brute_force_decompose(model, alpha)
                 continue
@@ -1078,7 +1132,8 @@ def test_volume_positive_iff_big(pool_decompositions):
         v = volume(model, alpha)
         z = d.positive_part
         assert v >= 0
-        assert (v > 0) == (model.q(z, z) > 0 and model.q(z, model.h) > 0)
+        assert (v > 0) == (inner(model.form, z, z) > 0
+                           and inner(model.form, z, model.h) > 0)
 
 
 def test_volume_is_the_fraction_self_pairing_of_the_positive_part(pool):

@@ -17,6 +17,7 @@ from zariski import (
     gen_model,
     gen_pseudoeffective_class,
 )
+from zariski.exact import inner
 from zariski.fixtures import _below, _random_unimodular, parse_spec_literal, spec_grid
 
 from conftest import orthogonal_sets
@@ -43,7 +44,7 @@ def test_generated_models_are_valid_across_specs():
             assert model.rank == rank
             assert len(model.primes) == prime_count
             assert model.validate().ok
-            assert model.q(model.h, model.h) == 1
+            assert inner(model.form, model.h, model.h) == 1
             assert model.prime_names() == tuple(
                 f"p{k + 1}" for k in range(prime_count)
             )
@@ -87,8 +88,8 @@ def test_del_pezzo_primes_are_the_minus_one_classes(r):
     assert model.rank == r + 1
     assert len(model.primes) == DEL_PEZZO_PRIMES[r]
     for p in model.primes:
-        assert model.q(p.vec, p.vec) == -1
-        assert model.q(model.h, p.vec) == 1  # h = -K
+        assert inner(model.form, p.vec, p.vec) == -1
+        assert inner(model.form, model.h, p.vec) == 1  # h = -K
     assert model.validate().ok
 
 

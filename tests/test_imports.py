@@ -131,6 +131,19 @@ def test_the_certificate_reuses_the_loops_clearing_and_scan():
     assert reads["verify_certificate"]["_certify"] == reads["_active_set"]["_certify"] == 1
 
 
+def test_the_loop_stays_in_integers():
+    """Each round forms its residual already cleared: neither `_project_primes` nor the
+    `while` loop of `_active_set` builds a ``Fraction`` or calls ``_cleared``."""
+    tree = ast.parse((ROOT / "src/zariski/engine.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    (loop,) = [node for node in ast.walk(fns["_active_set"]) if isinstance(node, ast.While)]
+    calls = [(name, node.lineno) for part in (fns["_project_primes"], loop)
+             for node in ast.walk(part) if isinstance(node, ast.Call)
+             and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+             in ("Fraction", "_cleared")]
+    assert calls == []
+
+
 def _layer_functions() -> dict:
     """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
     tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))
@@ -167,6 +180,7 @@ def run_fresh(*argv: str) -> subprocess.CompletedProcess:
     ["oracle_sweep.py", "--models", "6", "--classes", "1"],
     ["command_phases.py", "--help"],
     ["bench_pairs.py", "--help"],
+    ["mutation_sample.py", "--help"],
 ], ids=lambda argv: argv[0])
 def test_scripts_run(argv):
     """Each script imports what it uses from the library and runs a small case."""

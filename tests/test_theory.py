@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import pytest
 
 from zariski import NotPseudoEffectiveError, decompose, del_pezzo
-from zariski.exact import as_vector, combine
+from zariski.exact import as_vector, combine, inner
 
 from conftest import vec_add, vec_scale
 
@@ -45,7 +45,7 @@ def weyl_element(model, rng):
     rng.shuffle(perm)
 
     def g(v):
-        s = combine(v, [(model.q(v, a), a)])
+        s = combine(v, [(inner(model.form, v, a), a)])
         image = [s[0]] + [None] * r
         for k, target in enumerate(perm, start=1):
             image[target] = s[k]
@@ -112,9 +112,9 @@ def test_negative_part_is_convex_and_volume_is_differentiable(r):
             assert n_sum.get(name, 0) <= n_alpha.get(name, 0) + n_beta.get(name, 0)
 
         z = d_alpha.positive_part
-        vol, slope = model.q(z, z), 2 * model.q(z, beta)
+        vol, slope = inner(model.form, z, z), 2 * inner(model.form, z, beta)
         ks = []
         for t in (Q(1, 10**6), Q(1, 10**7)):
             zt = decompose(model, combine(alpha, [(t, beta)])).positive_part
-            ks.append(((model.q(zt, zt) - vol) / t - slope) / t)
+            ks.append(((inner(model.form, zt, zt) - vol) / t - slope) / t)
         assert ks[0] == ks[1]

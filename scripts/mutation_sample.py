@@ -22,9 +22,8 @@ kills the mutant; a run that passes lets it survive; a run still going after
 The record written to ``--out`` (rewritten after every mutant, so an interrupted
 sweep keeps what it measured) gives, per mutant, its site (file and line), the
 ``old`` and ``new`` text, the outcome (``killed``, ``survived`` or ``hang``), the
-wall time in seconds and the first failing test, and the outcome counts.  When a
-Hypothesis test fails, pytest stops with an internal error before it names the
-test, so that kill is recorded with no first failing test.  Stdlib only.
+wall time in seconds and the first failing test, and the outcome counts.  Stdlib
+only.
 
 Usage:
     python3 scripts/mutation_sample.py MUTANTS.json --out RECORD.json

@@ -7,11 +7,11 @@ against which decompositions are computed.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +54,9 @@ class ValidationReport:
         return not self.violations
 
 
+_Pack = tuple[tuple[int, ...], int, int]  # (columns, offset, limit) of :func:`_pack`
+
+
 @dataclass(frozen=True)
 class CompiledModel:
     """A model's pairings as integers over known positive denominators.
@@ -65,7 +68,8 @@ class CompiledModel:
     ``images[i] = form · primes[i]`` gives ``q(a, p_i) = a · images[i] /
     (scale * den * dens[i])`` for any integer vector ``a = den * alpha``, and
     the prime Gram ``gram[i][j] = primes[i] · form · primes[j]`` equals
-    ``scale * dens[i] * dens[j] * q(p_i, p_j)``.
+    ``scale * dens[i] * dens[j] * q(p_i, p_j)``.  ``pack`` is :func:`_pack` of
+    the images when there are more primes than coordinates, else ``None``.
     """
 
     scale: int
@@ -77,6 +81,41 @@ class CompiledModel:
     qh: tuple[int, ...]
     images: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]
+    pack: _Pack | None
+
+
+def _pack(images: Sequence[Sequence[int]]) -> _Pack | None:
+    """``(columns, offset, limit)`` for :func:`_scan`, or ``None`` once an image's
+    norm ``‖images[i]‖₁`` reaches ``2**63``.  ``columns[k]`` holds ``images[i][k]``
+    in its 64-bit field ``i`` (Kronecker substitution; on a little-endian machine
+    ``Σ_i images[i][k] · 2**(64 i)``), ``offset`` sets bit 63 of every field, and
+    a class with every entry in ``[-limit, limit]`` pairs with each image inside
+    ``(-2**63, 2**63)``."""
+    norm = max(sum(map(abs, image)) for image in images)
+    if norm >> 63:
+        return None
+    from array import array  # only a model that packs loads it
+
+    def packed(fields):  # field i of the result is fields[i] in [0, 2**64)
+        return int.from_bytes(array("Q", fields), sys.byteorder)
+
+    offset = packed([1 << 63] * len(images))
+    columns = tuple(packed([x + (1 << 63) for x in column]) - offset for column in zip(*images))
+    return columns, offset, ((1 << 63) - 1) // max(norm, 1)
+
+
+def _scan(images: Sequence[Sequence[int]], pack: _Pack | None, a: Sequence[int]) -> list[int]:
+    """``[dot(a, image) for image in images]``, as one big-integer product when
+    `pack` bounds every entry of ``a``.  Field ``i`` of ``Σ_k a_k columns[k] + offset``
+    is ``a · images[i] + 2**63``, with no carry between fields; the XOR with
+    ``offset`` takes ``2**63`` off each field modulo ``2**64``, which leaves
+    ``a · images[i]`` as a signed 64-bit integer for ``memoryview.cast("q")``."""
+    if pack is not None:
+        columns, offset, limit = pack
+        if -limit <= min(a) and max(a) <= limit:
+            packed = sum(map(mul, a, columns), offset) ^ offset
+            return memoryview(packed.to_bytes(8 * len(images), sys.byteorder)).cast("q").tolist()
+    return [dot(a, image) for image in images]
 
 
 @dataclass(frozen=True)
@@ -134,16 +173,12 @@ class ConeModel:
         primes = tuple(vec for vec, _ in cleared)
         dens = tuple(den for _, den in cleared)
         images = tuple(tuple(sum(map(mul, row, vec)) for row in form) for vec in primes)
-        # the form is symmetric: the lower triangle, lower[j][i] = primes[i] · images[j]
-        # for i <= j, gives row i up to the diagonal and, as column i, the rest of it
-        lower = [tuple([sum(map(mul, u, image)) for u in primes[:j + 1]])
-                 for j, image in enumerate(images)]
-        columns = zip_longest(*lower)  # column i starts with i fill values
-        gram = tuple(row + column[i + 1:]
-                     for i, (row, column) in enumerate(zip(lower, columns)))
+        # packed only with more primes than coordinates: del Pezzo from r = 3, no grid model
+        pack = _pack(images) if len(primes) > self.rank > 0 else None
         return CompiledModel(
             scale=scale, form=form, h=h, h_den=h_den, primes=primes, dens=dens,
-            qh=tuple(sum(map(mul, row, h)) for row in form), images=images, gram=gram,
+            qh=tuple(sum(map(mul, row, h)) for row in form), images=images,
+            gram=tuple(tuple(_scan(images, pack, u)) for u in primes), pack=pack,
         )
 
     # -- validation -----------------------------------------------------
@@ -171,11 +206,11 @@ class ConeModel:
                 "reference class must satisfy q(h, h) > 0, got "
                 f"{describe(Fraction(qh, c.scale * c.h_den ** 2))}"
             )
-        for p, vec, den in zip(self.primes, c.primes, c.dens):
+        # qh · primes[i] = h · images[i]: the scan of h
+        for p, vec, den, pairing in zip(self.primes, c.primes, c.dens, self._pairings(c.h)):
             if not any(vec):
                 violations.append(f"prime '{p.name}' is the zero class")
                 continue
-            pairing = dot(c.qh, vec)
             if pairing < 0:
                 violations.append(
                     f"prime '{p.name}' pairs negatively with h: "
@@ -221,8 +256,10 @@ class ConeModel:
 
     def _pairings(self, a: Sequence[int]) -> list[int]:
         """``a · images[i]`` for each prime: ``q(alpha, p_i)`` times a positive integer,
-        for a class cleared to ``a``.  The one reader of ``compiled.images``."""
-        return [dot(a, image) for image in self.compiled.images]
+        for a class cleared to ``a``, by :func:`_scan`.  The one reader of
+        ``compiled.images``."""
+        c = self.compiled
+        return _scan(c.images, c.pack, a)
 
     def _closure_pairings(self, a: Sequence[int]) -> tuple[int, int]:
         """``(a · qh, a · form · a)`` for ``a = den * alpha``: ``q(alpha, h)`` times
@@ -237,7 +274,7 @@ class ConeModel:
     def is_dual_nef(self, alpha: Sequence) -> bool:
         """Positive-cone closure plus nonnegative pairing with every prime."""
         a = self._cleared(alpha)[0]
-        return min(self._closure_pairings(a)) >= 0 and all(x >= 0 for x in self._pairings(a))
+        return min(self._closure_pairings(a)) >= 0 and min(self._pairings(a), default=0) >= 0
 
 
 def cone_model(

@@ -152,7 +152,7 @@ def _certify(model: ConeModel, a: Sequence[int], da: int, z: Sequence[int], dz: 
         bad = {n: describe(k) for n, k in negative_coeffs.items() if k < 0}
         violations.append(f"negative part has negative coefficients: {bad}")
 
-    dual_nef = min(closure) >= 0 and all(x >= 0 for x in pairings)
+    dual_nef = min(closure) >= 0 and min(pairings, default=0) >= 0
     if not dual_nef:
         violations.append("positive part is not dual-nef")
 

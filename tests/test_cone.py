@@ -4,6 +4,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -17,6 +19,7 @@ from zariski import (
     del_pezzo,
     enumerate_exceptional_families,
 )
+from zariski import cone
 from zariski.cone import CompiledModel, PrimeClass
 from zariski.exact import dot, inner
 
@@ -140,6 +143,18 @@ def _cleared(vec) -> tuple[tuple[int, ...], int]:
     return tuple(int(x * den) for x in vec), den
 
 
+def _pack_by_field(images, rank):
+    """The pack by its definition: image ``i`` in the 64-bit field ``i`` of each column,
+    counted from the end that ``to_bytes`` writes first in native byte order."""
+    norm = max((sum(map(abs, image)) for image in images), default=0)
+    if len(images) <= rank or rank == 0 or norm >= 2**63:
+        return None
+    field = range(len(images)) if sys.byteorder == "little" else range(len(images))[::-1]
+    columns = tuple(sum(image[k] * 2**(64 * i) for i, image in zip(field, images))
+                    for k in range(rank))
+    return columns, sum(2**63 * 2**(64 * i) for i in field), (2**63 - 1) // max(norm, 1)
+
+
 def _compiled_by_entry(model) -> CompiledModel:
     """The integer view with one ``dot`` per image entry and per Gram entry."""
     r = model.rank
@@ -153,6 +168,7 @@ def _compiled_by_entry(model) -> CompiledModel:
         scale=scale, form=form, h=h, h_den=h_den, primes=primes,
         dens=tuple(den for _, den in cleared), qh=tuple(dot(row, h) for row in form),
         images=images, gram=tuple(tuple(dot(u, image) for image in images) for u in primes),
+        pack=_pack_by_field(images, r),
     )
 
 
@@ -165,6 +181,77 @@ def test_compiled_view_matches_one_dot_per_entry_on_del_pezzo(r):
 def test_compiled_view_matches_one_dot_per_entry_on_the_grid(pool):
     for spec, model, _ in pool:
         assert model.compiled == _compiled_by_entry(model), spec
+
+
+class _Counted(tuple):
+    """A tuple of images that records each pass over it: the packed scan reads only
+    its length, and the ``dot`` fallback iterates it."""
+
+    passes: list
+
+    def __iter__(self):
+        self.passes.append(1)
+        return super().__iter__()
+
+
+@st.composite
+def crowded_models(draw):
+    """Integer models with more primes than coordinates, checked by no axiom; a wide
+    form entry may take an image's norm past ``2**63``, so that the model does not pack."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(-3, 3) | st.integers(-2**63, 2**63)
+    lower = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    form = [[lower[max(i, j)][min(i, j)] for j in range(r)] for i in range(r)]
+    coordinate = st.integers(-3, 3) | st.integers(-2**40, 2**40)
+    primes = draw(st.lists(st.lists(coordinate, min_size=r, max_size=r),
+                           min_size=r + 1, max_size=r + 6))
+    return cone_model(form, [(f"p{k}", v) for k, v in enumerate(primes)], [1] + [0] * (r - 1))
+
+
+@given(crowded_models(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_pairings_equal_one_dot_per_prime(model, data):
+    """``_pairings`` is the ``dot`` list: packed for a class within the limit on a
+    model whose images stay below ``2**63`` in norm, by the fallback otherwise,
+    including the classes one past the limit and the class that reaches it."""
+    c = model.compiled
+    norm, widest = max((sum(map(abs, image)), image) for image in c.images)
+    limit = (2**63 - 1) // max(norm, 1)
+    assert c.pack == _pack_by_field(c.images, model.rank)
+    assert (c.pack is None) == (norm >= 2**63)
+    reach = [limit if x > 0 else -limit for x in widest]  # pairs to limit * norm
+    classes = [reach, [-x for x in reach], [limit + 1] + reach[1:], reach[:-1] + [-limit - 1]]
+    bound = st.integers(-limit - 1, limit + 1)
+    classes += data.draw(st.lists(st.lists(bound, min_size=model.rank, max_size=model.rank),
+                                  max_size=4))
+    images = _Counted(c.images)
+    vars(model)["compiled"] = replace(c, images=images)
+    for a in classes:
+        images.passes = []
+        assert model._pairings(a) == [dot(a, image) for image in c.images]
+        assert (not images.passes) == (c.pack is not None and max(map(abs, a)) <= limit)
+
+
+def test_a_pack_needs_a_coordinate_and_every_image_norm_below_2_63():
+    inside = cone_model([[2**63 - 1]], {"a": [1], "b": [-1]}, [1])
+    assert inside.compiled.pack[2] == 1
+    assert inside._pairings((-1,)) == [1 - 2**63, 2**63 - 1]
+    assert cone_model([[2**63]], {"a": [1], "b": [-1]}, [1]).compiled.pack is None
+    empty = cone_model([], {"a": [], "b": []}, []).compiled  # rank 0: no class to bound
+    assert (empty.pack, empty.gram) == (None, ((0, 0), (0, 0)))
+
+
+def test_del_pezzo_models_pack_and_grid_models_do_not(pool, monkeypatch):
+    """A model packs when it has more primes than coordinates: del Pezzo from r = 3,
+    whose Gram rows are then each one product, with no ``dot``, and none of the grid
+    models."""
+    models = [del_pezzo(r) for r in range(1, 9)]
+    assert [m.compiled.pack for m in models[:2]] == [None, None]
+    monkeypatch.setattr(cone, "dot", None)
+    assert all(m.compiled.pack for m in models[2:])
+    monkeypatch.undo()
+    assert [spec for spec, model, _ in pool if model.compiled.pack] == []
+    assert all(len(model.primes) <= model.rank for _, model, _ in pool)
 
 
 def test_duplicate_names_are_each_reported_once_in_sorted_order():

@@ -750,7 +750,9 @@ def test_the_loop_clears_each_class_once(pool, monkeypatch):
     """One `decompose`, certificate included, clears alpha once, scans it and each
     round's residual once, which `_project_primes` forms already cleared, and takes
     the last one's closure pairings once: one clear and ``rounds + 1`` scans, 1 and
-    9 for the A_8 chain's 8 rounds, and the same identity over the 1000 pool classes."""
+    9 for the A_8 chain's 8 rounds, and the same identity over the 1000 pool classes.
+    Validation, cached on the model, is one more scan, of h; the pool's models are
+    validated when they are generated."""
     calls = Counter()
 
     def spy(owner, name):
@@ -766,7 +768,10 @@ def test_the_loop_clears_each_class_once(pool, monkeypatch):
         spy(ConeModel, name)
     spy(engine, "_project_primes")
     assert not hasattr(engine, "clear_denominators")
-    assert decompose(*a_n_chain(8)).iterations == 8
+    model, alpha = a_n_chain(8)
+    assert model.require_valid() and calls == {"_pairings": 1}
+    calls.clear()
+    assert decompose(model, alpha).iterations == 8
     assert calls == {"_cleared": 1, "_pairings": 9, "_closure_pairings": 1, "_project_primes": 8}
     calls.clear()
     for _, model, classes in pool:

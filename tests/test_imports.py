@@ -194,13 +194,14 @@ def test_scripts_run(argv):
 _COMMANDS_THEN_MODULES = """
 import contextlib, io, json, sys
 import zariski
-loaded = [sorted(m for m in sys.modules if m.startswith("zariski"))]
+watched = lambda: sorted(m for m in sys.modules if m.startswith("zariski") or m == "array")
+loaded = [watched()]
 from zariski.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-loaded.append(sorted(m for m in sys.modules if m.startswith("zariski")))
+loaded.append(watched())
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -223,6 +224,7 @@ def test_model_commands_load_neither_bundle_nor_fixtures(tmp_path):
     assert after_package == ["zariski"]
     assert "zariski.cli" in after_commands
     assert {"zariski.bundle", "zariski.fixtures"}.isdisjoint(after_commands)
+    assert "array" not in after_commands  # a model with no more primes than rank packs nothing
 
 
 @pytest.mark.parametrize("argv, code, expected", [

@@ -9,7 +9,9 @@ mutant is checked before any test runs.
 The checkout's files that git does not ignore, committed or not, are copied once
 into a temporary directory, so nothing that running left behind comes along; each
 mutant is written into that copy, tested and undone there, so the checkout itself
-is never touched.  Each test run is
+is never touched.  The mutant lists under ``MUTANTS`` stay behind: tier-1 checks
+each committed list against the source, which every mutant changes by design.
+Each test run is
 
     PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python -m pytest -x -q -p no:cacheprovider
 
@@ -44,6 +46,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MUTANTS = "scripts/mutants/"
 COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TIMEOUT_S = 180.0
 
@@ -60,12 +63,14 @@ def load_mutants(path: Path) -> list[dict]:
 
 
 def copy_checkout(dest: Path) -> None:
-    """The files of the checkout that git lists as cached or untracked and not ignored."""
+    """The files of the checkout that git lists as cached or untracked and not ignored,
+    but for the mutant lists."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
                              "--exclude-standard"],
                             cwd=ROOT, check=True, capture_output=True, text=True).stdout
     for name in filter(None, listed.split("\0")):
-        if (source := ROOT / name).is_file():  # a deleted file is still cached
+        # a deleted file is still cached
+        if not name.startswith(MUTANTS) and (source := ROOT / name).is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
 

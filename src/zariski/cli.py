@@ -264,14 +264,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
+    def add(name: str, handler, help_text: str, model: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--pretty", action="store_true", help="human-readable report")
+        if model:
+            p.add_argument("--model", required=True, help="model JSON file")
         return p
 
     p = add("decompose", cmd_decompose, "decompose a class against a model")
-    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument(
         "--class",
         required=True,
@@ -279,14 +280,12 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p = add("exceptional", cmd_exceptional, "enumerate exceptional families")
-    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--max-size", type=int, default=None, help="family size cap")
 
     p = add("chambers", cmd_chambers, "label classes by negative-part support")
-    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--classes", required=True, help="JSON array of classes")
 
-    p = add("cutkosky", cmd_cutkosky, "decompose the tautological bundle class")
+    p = add("cutkosky", cmd_cutkosky, "decompose the tautological bundle class", model=False)
     p.add_argument(
         "--base",
         required=True,
@@ -294,13 +293,11 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p = add("check", cmd_check, "re-verify a stored decomposition")
-    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--decomposition", required=True, help="decomposition JSON file")
 
-    p = add("validate", cmd_validate, "validate a model file")
-    p.add_argument("--model", required=True, help="model JSON file")
+    add("validate", cmd_validate, "validate a model file")
 
-    p = add("fixtures", cmd_fixtures, "generate a random model")
+    p = add("fixtures", cmd_fixtures, "generate a random model", model=False)
     p.add_argument(
         "--spec",
         required=True,

@@ -119,30 +119,28 @@ def _certify(model: ConeModel, a: Sequence[int], da: int, z: Sequence[int], dz: 
     """The checks on cleared data: ``alpha = a / da``, the positive part ``z / dz``, its
     ``model._pairings(z)`` and ``model._closure_pairings(z)``.  Reconstruction is an
     integer identity, and every other check reads ``model.compiled``."""
-    violations: list[str] = []
     position, c = model.prime_position, model.compiled
-    for name in negative_coeffs:
-        if name not in position:
-            violations.append(f"unknown prime '{name}' in negative part")
-    usable = {n: k for n, k in negative_coeffs.items() if n in position}
+    violations = [f"unknown prime '{n}' in negative part"
+                  for n in negative_coeffs if n not in position]
+    terms = [(n, *k.as_integer_ratio(), position[n])
+             for n, k in negative_coeffs.items() if n in position]
 
-    terms = [(*k.as_integer_ratio(), position[n]) for n, k in usable.items()]
-    den = lcm(da, dz, *(q * c.dens[i] for _, q, i in terms))
+    den = lcm(da, dz, *(q * c.dens[i] for _, _, q, i in terms))
     total = combine(tuple(x * (den // da) for x in a),  # den * (alpha - negative part)
-                    ((-p * (den // (q * c.dens[i])), c.primes[i]) for p, q, i in terms))
+                    ((-p * (den // (q * c.dens[i])), c.primes[i]) for _, p, q, i in terms))
     if total != tuple(y * (den // dz) for y in z):
         violations.append("reconstruction failed: positive part plus negative part "
                           "does not equal the input class")
 
     orthogonal = True
-    for name in usable:
-        if pairing := pairings[i := position[name]]:
+    for name, _, _, i in terms:
+        if pairing := pairings[i]:
             orthogonal = False
             violations.append(f"orthogonality violated: q(positive_part, {name}) = "
                               f"{describe(Fraction(pairing, c.scale * dz * c.dens[i]))}")
 
     # the principal submatrix of scale * D G D: congruent to the support's Gram G
-    support = [position[n] for n, k in usable.items() if k > 0]
+    support = [i for _, p, _, i in terms if p > 0]
     negdef = is_negative_definite([[c.gram[i][j] for j in support] for i in support])
     if not negdef:
         violations.append("support Gram matrix is not negative definite")
@@ -304,17 +302,18 @@ def enumerate_exceptional_families(
 ) -> list[tuple[str, ...]]:
     """All exceptional families up to `max_size`, in lexicographic order.
 
-    The walk negates the integer prime Gram ``model.compiled.gram``, giving
-    ``M = -s * D G D`` for the rational prime Gram ``G``, a positive integer
-    ``s`` and the positive diagonal ``D`` of prime denominators.  A
+    The walk reads the integer prime Gram ``M = model.compiled.gram`` as
+    stored: ``M = s * D G D`` for the rational prime Gram ``G``, a positive
+    integer ``s`` and the positive diagonal ``D`` of prime denominators.  A
     congruence by a positive diagonal matrix keeps the sign of every
-    principal minor, so ``M`` is positive definite on exactly the
+    principal minor, so ``M`` is negative definite on exactly the
     exceptional families and the lists are those of ``G``.  A depth-first walk
     extends a family one prime at a time and carries the fraction-free
     (Bareiss) Schur complement of the primes that may still extend it: entry
     ``S[a][b]`` is the bordered minor ``det M[F + a, F + b]``, and ``prev`` is
-    ``det M[F]``.  By Sylvester's identity, prime ``u`` may follow prime ``t``
-    iff ``(S[t][t] * S[u][u] - S[t][u]**2) / prev = det M[F + t + u] > 0``.
+    ``det M[F]``, of sign ``(-1)**|F|`` on a family.  By Sylvester's identity,
+    prime ``u`` may follow prime ``t`` iff the minors keep alternating, that is
+    iff ``S[t][t] * S[u][u] - S[t][u]**2 = prev * det M[F + t + u] > 0``.
     That sign test runs before any division; its numerators are the next
     complement's diagonal times ``prev``, so the next complement is one
     :func:`~zariski.exact.schur_complement` at ``t`` over the primes that
@@ -330,7 +329,6 @@ def enumerate_exceptional_families(
     """
     cap = family_cap(model, max_size)
     names = model.prime_names()
-    m = [[-x for x in row] for row in model.compiled.gram]
     out: list[tuple[str, ...]] = [()]
 
     def walk(family: tuple[str, ...], cands: list[int], schur: list[list[int]],
@@ -342,8 +340,8 @@ def enumerate_exceptional_families(
             if t == last or len(grown) >= cap:
                 continue
             row, pivot = schur[t], schur[t][t]
-            # prev = det M[family] is 1 or a kept pivot, so positive, and the
-            # numerator has the sign of the minor
+            # the numerator is prev * det M[grown + u], and prev = det M[family] has
+            # sign (-1)**len(family): positive iff the minors keep alternating
             keep, diag = [], []
             for u in range(t + 1, last + 1):
                 d = pivot * schur[u][u] - row[u] * row[u]
@@ -357,8 +355,9 @@ def enumerate_exceptional_families(
                      schur_complement(schur, t, keep, prev, diag), pivot)
 
     if cap:
-        top = [i for i in range(len(names)) if m[i][i] > 0]
-        walk((), top, [[m[a][b] for b in top] for a in top], 1)
+        g = model.compiled.gram
+        top = [i for i in range(len(names)) if g[i][i] < 0]
+        walk((), top, [[g[a][b] for b in top] for a in top], 1)
     return out
 
 

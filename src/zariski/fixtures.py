@@ -187,10 +187,7 @@ def gen_model(spec: FixtureSpec) -> ConeModel:
         accepted.append(w)
 
     primes = [(f"p{k + 1}", _apply(v, w)) for k, w in enumerate(accepted)]
-    model = cone_model(q_rows, primes, h, m=1)
-    report = model.report
-    assert report.ok, f"generated model failed validation: {report.violations}"
-    return model
+    return cone_model(q_rows, primes, h).require_valid()
 
 
 def _boundary_classes(model: ConeModel, rng: random.Random) -> list[tuple[int, ...]]:

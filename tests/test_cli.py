@@ -270,6 +270,15 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "File name too long"),
         (None, ["check", "--model", "data/s2.json", "--decomposition", "data/dec_s1.json"],
          "decomposition vectors do not match the model rank 3"),
+        # alpha has the model's rank, the stored positive part does not
+        (json.dumps({**DEC_S1, "positive_part": ["1", "0", "0"]}).encode(),
+         ["check", "--model", "data/s1.json", "--decomposition", "{file}"],
+         "decomposition vectors do not match the model rank 2"),
+        # a model that fails validation is refused before any check runs
+        (json.dumps({"rank": 2, "form": [["1", "0"], ["0", "-1"]],
+                     "primes": {"E": ["0", "1"]}, "ample": ["2", "1"]}).encode(),
+         ["check", "--model", "{file}", "--decomposition", "data/dec_s1.json"],
+         "prime 'E' pairs negatively with h"),
     ],
     ids=["text-iterations", "non-utf8-file", "negative-max-size", "boolean-iterations",
          "boolean-rank", "boolean-m", "huge-volume", "huge-refusal-detail",
@@ -282,7 +291,8 @@ DEC_S1_VOLUME_9 = {**DEC_S1, "alpha": ["3", "1"], "positive_part": ["3", "0"],
          "decomposition-not-object", "decomposition-lacks-fields",
          "negative-part-not-object", "support-not-names", "class-not-list",
          "class-wrong-length", "model-under-a-file", "fixtures-out-under-a-file",
-         "symlink-loop", "name-too-long", "check-rank-mismatch"],
+         "symlink-loop", "name-too-long", "check-rank-mismatch",
+         "check-positive-part-rank-mismatch", "check-invalid-model"],
 )
 def test_bad_input_is_invalid_input(content, argv, fragment, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -556,6 +566,36 @@ def test_check_refuses_a_stored_certificate_that_did_not_all_pass(
     assert report["result"]["violations"] == violations
     assert code == (1 if violations else 0)
     assert all(report["certificate"].values())
+
+
+@pytest.mark.parametrize(
+    "changes, violations",
+    [
+        ({"negative_part": {"E": "2", "X": "1"}, "support": ["E", "X"]},
+         ["unknown prime 'X' in negative part"]),
+        ({"alpha": ["1", "0"], "negative_part": {"E": "0"}},
+         ["stored support does not match the strictly positive coefficients"]),
+        ({"support": ["E", "E"]},
+         ["stored support does not match the strictly positive coefficients"]),
+        ({"volume": "2"}, ["stored volume 2 differs from recomputed 1"]),
+        ({"volume": "1/2"}, ["stored volume 1/2 differs from recomputed 1"]),
+    ],
+    ids=["unknown-prime", "zero-coefficient-in-support", "repeated-support",
+         "volume-too-large", "volume-too-small"],
+)
+def test_check_names_the_one_stored_field_that_disagrees(changes, violations, tmp_path,
+                                                         capsys):
+    """Each document differs from a valid one in one field, and the check reports
+    that field alone: an unknown prime is a violation, not a crash; a zero
+    coefficient is outside the support; a repeated support name is a mismatch,
+    and so is a stored volume on either side of the recomputed one."""
+    stored = tmp_path / "dec.json"
+    stored.write_text(json.dumps({**DEC_S1, **changes}))
+    code, report = run_cli(
+        ["check", "--model", "data/s1.json", "--decomposition", str(stored)], capsys
+    )
+    assert report["result"]["violations"] == violations
+    assert code == 1
 
 
 def test_model_file_round_trip(tmp_path, s2):

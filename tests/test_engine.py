@@ -312,6 +312,27 @@ def test_the_walk_takes_only_schur_steps_it_reads(monkeypatch, pool):
             assert all(kept >= 2 and grown <= cap - 2 for kept, grown in steps)
 
 
+def test_each_walk_step_divides_by_the_pivot_before_it(monkeypatch, pool):
+    """The Bareiss chain: a step on the walk's top matrix divides by 1, and a step
+    on a complement by the pivot of the step that made it, so every entry stays
+    a bordered minor of ``compiled.gram``."""
+    real = engine.schur_complement
+    made, divisors = {}, []
+
+    def spy(m, t, keep, prev, diag=None):
+        divisors.append((prev, made[id(m)][1] if id(m) in made else 1))
+        out = real(m, t, keep, prev, diag)
+        made[id(out)] = (out, m[t][t])  # `out` is held, so no id is reused
+        return out
+
+    monkeypatch.setattr(engine, "schur_complement", spy)
+    for model in [*map(del_pezzo, range(4, 8)), *(m for _, m, _ in pool)]:
+        made.clear()
+        enumerate_exceptional_families(model)
+    assert all(prev == pivot for prev, pivot in divisors)
+    assert any(abs(pivot) > 1 for _, pivot in divisors)
+
+
 def test_enumerate_families_skips_a_prime_of_square_zero():
     """On F_1 the fibre f = H - E has f**2 = 0, so no family holds it."""
     model = cone_model([[1, 0], [0, -1]], {"E": [0, 1], "f": [1, -1]}, [2, -1])

@@ -11,12 +11,15 @@ from zariski import (
     FixtureSpec,
     GenerationExhaustedError,
     FormatError,
+    InvalidModelError,
+    cone_model,
     decompose,
     del_pezzo,
     enumerate_exceptional_families,
     gen_model,
     gen_pseudoeffective_class,
 )
+from zariski import fixtures
 from zariski.exact import inner
 from zariski.fixtures import _below, _random_unimodular, parse_spec_literal, spec_grid
 
@@ -128,6 +131,16 @@ def test_rank2_cannot_host_many_primes():
     """At rank 2 at most two primes can pair nonnegatively; six must exhaust."""
     with pytest.raises(GenerationExhaustedError, match="spec too tight"):
         gen_model(FixtureSpec(rank=2, prime_count=6, seed=3))
+
+
+def test_gen_model_ends_in_the_models_own_gate(monkeypatch):
+    """A generated model that fails validation raises `InvalidModelError`, a
+    check that `python -O` keeps."""
+    definite = cone_model([[1, 0], [0, 1]], {}, [1, 0])
+    assert not definite.report.ok
+    monkeypatch.setattr(fixtures, "cone_model", lambda *args, **kwargs: definite)
+    with pytest.raises(InvalidModelError, match="expected Lorentzian"):
+        gen_model(FixtureSpec(rank=2, prime_count=0, seed=3))
 
 
 def test_spec_validation():

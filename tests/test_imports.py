@@ -1,12 +1,13 @@
 """Every module uses each name it imports; the library reads no environment and
-uses each private helper it defines; each script runs; the package loads a
-submodule only when one of its names is used."""
+uses each private helper it defines; each script runs and each mutant list loads;
+the package loads a submodule only when one of its names is used."""
 from __future__ import annotations
 
 import ast
 import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -186,6 +187,16 @@ def test_scripts_run(argv):
     """Each script imports what it uses from the library and runs a small case."""
     proc = run_fresh(str(ROOT / "scripts" / argv[0]), *argv[1:])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", [p for p in sorted((ROOT / "scripts/mutants").glob("*.json"))
+                                  if not p.name.endswith(".record.json")],
+                         ids=lambda p: p.name)
+def test_every_mutant_list_loads(path):
+    """Every ``old`` text of a committed mutant list occurs exactly once in its file,
+    by the loader `scripts/mutation_sample.py` runs first.  The sampler's copy of the
+    checkout holds no list, so none is checked against a mutated source."""
+    runpy.run_path(str(ROOT / "scripts/mutation_sample.py"))["load_mutants"](path)
 
 
 # -- the lazy package ------------------------------------------------------------

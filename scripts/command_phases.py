@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Median process time of each phase of an in-process ``zariski decompose``.
+"""Median process time of each phase of an in-process ``zariski decompose`` and ``cutkosky``.
 
 For each del Pezzo model (``fixtures.del_pezzo(r)``, h = -K) the model file
 is written once; then every repeat runs the phases of one ``decompose``
@@ -21,7 +21,19 @@ median user and system CPU time of 15 children in milliseconds.  Under the
 table, each rank's ``python -X importtime`` child lists the ``zariski``
 modules that command loads, with their own import time in milliseconds
 (the median of 3 children); ``zariski.cli`` itself runs as ``__main__`` and
-is not imported, so it is not listed.  Stdlib only.
+is not imported, so it is not listed.
+
+Last, the phases of ``zariski cutkosky`` over the 121 bases of
+``scripts/run_cutkosky.py``'s sweep (every admissible base with entries
+<= 6), each run ``CUTKOSKY_PASSES`` times: the medians over those commands of
+
+    argv         parsing the arguments and the base literal
+    roots_split  L's threshold quadratic, its roots and the split at the larger
+    volume       the cube of the nef part, ``intersect3(base, z, z, z)``
+    render       the report's fields and its indented JSON text
+
+and of the whole command through ``cli.main``.  The rendered result is
+checked once per base against the one the command prints.  Stdlib only.
 
 Usage:
     PYTHONPATH=src python3 scripts/command_phases.py
@@ -35,6 +47,7 @@ import io
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -42,14 +55,17 @@ from pathlib import Path
 from statistics import median
 from time import process_time_ns
 
-from zariski import cli
+from zariski import bundle, cli
 from zariski.engine import decompose
 from zariski.fixtures import del_pezzo
 from zariski.serialize import (
+    decimal_approx,
     decomposition_to_json,
     dump_model,
     load_model,
+    parse_base_literal,
     parse_class_literal,
+    scalar_to_json,
     to_text,
 )
 
@@ -57,17 +73,25 @@ PHASES = ("argv", "load_model", "validate", "decompose", "render")
 COLD = ("cold", "python")
 COLD_STARTS = 15
 IMPORT_RUNS = 3
+CUTKOSKY_PHASES = ("argv", "roots_split", "volume", "render")
+CUTKOSKY_PASSES = 9
+
+
+def stopwatch():
+    """``(times, lap)``: ``lap(name)`` records the process time in nanoseconds
+    since the previous lap, or since the call, under ``times[name]``."""
+    times, last = {}, [process_time_ns()]
+
+    def lap(name: str) -> None:
+        now = process_time_ns()
+        times[name], last[0] = now - last[0], now
+
+    return times, lap
 
 
 def phases_once(argv: list[str]) -> dict[str, int]:
     """One command's phases, each timed in process-time nanoseconds."""
-    times, t = {}, process_time_ns()
-
-    def lap(name: str) -> None:
-        nonlocal t
-        now = process_time_ns()
-        times[name], t = now - t, now
-
+    times, lap = stopwatch()
     args = cli._parser().parse_args(argv)
     alpha = parse_class_literal(getattr(args, "class"))
     lap("argv")
@@ -85,14 +109,45 @@ def phases_once(argv: list[str]) -> dict[str, int]:
     return times
 
 
-def command_once(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
+def cutkosky_once(argv: list[str]) -> tuple[dict[str, int], str]:
+    """One ``cutkosky`` command's phases, as ``cli.cmd_cutkosky`` runs them,
+    and the report's text."""
+    times, lap = stopwatch()
+    base = parse_base_literal(cli._parser().parse_args(argv).base)
+    lap("argv")
+    roots = bundle._threshold_roots(base, bundle.L)
+    z, mu = bundle._split_at_roots(base, bundle.L, roots)
+    lap("roots_split")
+    vol = bundle.intersect3(base, z, z, z)
+    lap("volume")
+    result = {
+        "base": {"D^2": to_text(base.d_sq), "D.H": to_text(base.dh), "H^2": to_text(base.h_sq)},
+        "mu": scalar_to_json(mu),
+        "mu_decimal": decimal_approx(mu),
+        "mu_roots": [scalar_to_json(r) for r in roots],
+        "zariski_class": {"L": scalar_to_json(z.t), "pi*D": scalar_to_json(z.x),
+                          "pi*H": scalar_to_json(z.y)},
+        "negative_coefficient": scalar_to_json(mu),
+        "volume": scalar_to_json(vol),
+        "volume_decimal": decimal_approx(vol),
+        "volume_is_rational": bundle.is_rational(vol),
+        "note": "decimal fields are approximate (12 places); 'mu' and 'volume' are exact",
+    }
+    text = json.dumps({"command": "cutkosky", "result": result}, indent=2)
+    lap("render")
+    return times, text
+
+
+def command_once(argv: list[str]) -> tuple[int, str]:
+    """The process time of ``cli.main(argv)`` in nanoseconds, and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         start = process_time_ns()
         code = cli.main(argv)
         elapsed = process_time_ns() - start
     if code != 0:
         raise SystemExit(f"command {argv} exited {code}")
-    return elapsed
+    return elapsed, out.getvalue()
 
 
 def child(args: list[str]) -> tuple[subprocess.CompletedProcess, int]:
@@ -145,11 +200,28 @@ def measure(r: int, workdir: Path, repeat: int) -> dict:
         phases_once(argv)
         command_once(argv)
     runs = [phases_once(argv) for _ in range(repeat)]
-    commands = [command_once(argv) for _ in range(repeat)]
+    commands = [command_once(argv)[0] for _ in range(repeat)]
     row = {name: median(t[name] for t in runs) / 1e6 for name in PHASES}
     row["command"] = median(commands) / 1e6
     row.update(cold_starts(argv))
     return {"r": r, "primes": len(model.primes), **row, "imports": cold_imports(argv)}
+
+
+def measure_cutkosky() -> dict[str, float]:
+    """Median phase and command times over the sweep's bases, in milliseconds."""
+    sweep = runpy.run_path(str(Path(__file__).with_name("run_cutkosky.py")))["sweep_bases"]
+    argvs = [["cutkosky", "--base", base] for base in sweep(6)]
+    for argv in argvs:  # warm up, and render what the command prints
+        _, text = cutkosky_once(argv)
+        if json.loads(text)["result"] != json.loads(command_once(argv)[1])["result"]:
+            raise SystemExit(f"the rendered phase of {argv} differs from the command's report")
+    runs, commands = [], []
+    for _ in range(CUTKOSKY_PASSES):
+        runs += [cutkosky_once(argv)[0] for argv in argvs]
+        commands += [command_once(argv)[0] for argv in argvs]
+    row = {name: median(t[name] for t in runs) / 1e6 for name in CUTKOSKY_PHASES}
+    row["command"] = median(commands) / 1e6
+    return {"bases": len(argvs), **row}
 
 
 def main() -> int:
@@ -170,6 +242,11 @@ def main() -> int:
     print("\nzariski modules a cold decompose loads, own import ms:")
     for r, modules in imports.items():
         print(f"  r = {r}: " + ", ".join(f"{name} {ms:.2f}" for name, ms in modules.items()))
+    row = measure_cutkosky()
+    columns = (*CUTKOSKY_PHASES, "command")
+    print(f"\ncutkosky, median ms over {row['bases']} sweep bases x {CUTKOSKY_PASSES} passes:")
+    print("  ".join(f"{c:>11}" for c in columns))
+    print("  ".join(f"{row[c]:>11.3f}" for c in columns))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, total_ordering
 from itertools import compress
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -98,10 +98,6 @@ def split_square(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def describe(x: Fraction) -> str:
     """``str(x)`` for a message, which must not raise: past the digit limit, its size."""
     try:
@@ -114,118 +110,113 @@ def describe(x: Fraction) -> str:
 class QuadExt:
     """Exact element ``a + b*sqrt(d)`` of a real quadratic extension of Q.
 
-    The constructor canonicalizes the radicand: square factors found by
-    trial division move into ``b``, perfect squares collapse to rationals,
-    and a rational value always carries ``d == 0``.  Arithmetic results
-    keep their operands' radicand, which is reduced already.  The ring
-    operations, sign and order are exact, and there is no division;
-    combining two distinct irrational radicands raises
+    The value is held as four integers, ``(p + q*sqrt(d)) / n`` with ``n > 0``
+    and ``gcd(p, q, n) == 1``; ``a`` and ``b`` are read as Fractions.  The
+    constructor canonicalizes the radicand: square factors found by trial
+    division move into ``b``, perfect squares collapse to rationals, and a
+    rational value always carries ``q == d == 0``.  Arithmetic results keep
+    their operands' radicand, which is reduced already.  The ring operations,
+    sign and order are exact integer arithmetic with one gcd per result, and
+    there is no division; combining two distinct irrational radicands raises
     :class:`MixedRadicandError`.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "n", "d")
 
-    def __init__(self, a=0, b=0, d=0):
+    def __new__(cls, a=0, b=0, d=0):
         a, b, d = Fraction(a), Fraction(b), int(d)
         if d < 0:
             raise ValueError(f"radicand must be nonnegative, got {d}")
         if b and d > 1:
             s, d = split_square(d)
             b *= s
-        self._collapse(a, b, d)
-
-    def _collapse(self, a: Fraction, b: Fraction, d: int) -> None:
-        if d <= 1:
-            a, b, d = a + b * d, Fraction(0), 0
-        if not b:
-            d = 0
-        self.a: Fraction = a
-        self.b: Fraction = b
-        self.d: int = d
+        return cls._reduced(a, b, d)
 
     @classmethod
     def _reduced(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
         """``a + b*sqrt(d)`` for a radicand ``d`` that is already reduced."""
-        out = object.__new__(cls)
-        out._collapse(a, b, d)
+        if d <= 1:
+            a, b, d = a + b * d, 0, 0
+        n = lcm(a.denominator, b.denominator)
+        return cls._of(a.numerator * (n // a.denominator),
+                       b.numerator * (n // b.denominator), n, d)
+
+    @staticmethod
+    def _of(p: int, q: int, n: int, d: int) -> "QuadExt":
+        """``(p + q*sqrt(d)) / n`` for ``n > 0``, in lowest terms."""
+        g = gcd(p, q, n)
+        out = object.__new__(QuadExt)
+        out.p, out.q, out.n, out.d = p // g, q // g, n // g, d if q else 0
         return out
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
 
     # -- classification ------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        if (a > 0) == (b > 0):
-            return _sign(a)
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        return _sign(a) if lhs > rhs else _sign(b)
+        """The sign ``p`` and ``q`` share, or else that of the larger of ``p**2``
+        and ``q**2 * d``."""
+        p, q = self.p, self.q
+        s = (p or q) if p * q >= 0 else (p * p - q * q * self.d) * p
+        return (s > 0) - (s < 0)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _unify(self, other) -> "QuadExt | None":
+    def _unify(self, other) -> tuple[int, int, int, int] | None:
+        """``other`` as ``(p, q, n, d)`` over the radicand the two share."""
         if isinstance(other, QuadExt):
-            pass
-        elif isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
-        else:
-            return None
-        if self.d and other.d and self.d != other.d:
-            raise MixedRadicandError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-        return other
+            if self.d and other.d and self.d != other.d:
+                raise MixedRadicandError(
+                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
+                )
+            return other.p, other.q, other.n, self.d or other.d
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator, self.d
+        return None
 
     def __add__(self, other):
-        other = self._unify(other)
-        if other is None:
+        if (other := self._unify(other)) is None:
             return NotImplemented
-        d = self.d or other.d
-        return QuadExt._reduced(self.a + other.a, self.b + other.b, d)
+        p, q, n, d = other
+        return QuadExt._of(self.p * n + p * self.n, self.q * n + q * self.n, self.n * n, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (QuadExt, int, Fraction)):
+        if (other := self._unify(other)) is None:
             return NotImplemented
-        return self + -other
+        p, q, n, d = other
+        return QuadExt._of(self.p * n - p * self.n, self.q * n - q * self.n, self.n * n, d)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return -self + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._unify(other)
-        if other is None:
+        if (other := self._unify(other)) is None:
             return NotImplemented
-        d = self.d or other.d
-        return QuadExt._reduced(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        p, q, n, d = other
+        return QuadExt._of(self.p * p + self.q * q * d, self.p * q + self.q * p, self.n * n, d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExt._reduced(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.p, -self.q, self.n, self.d)
 
     # -- comparisons ---------------------------------------------------
 
     def _diff_sign(self, other) -> int | None:
-        other = self._unify(other)
-        if other is None:
-            return None
-        return (self - other).sign()
+        diff = self.__sub__(other)
+        return None if diff is NotImplemented else diff.sign()
 
     def __eq__(self, other):
         s = self._diff_sign(other)

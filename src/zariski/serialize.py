@@ -280,19 +280,18 @@ def decimal_approx(value: Scalar) -> str:
     """
     shift = 10 ** (_PLACES + _GUARD_DIGITS)
     if isinstance(value, QuadExt):
-        a, b, d = value.a, value.b, value.d
+        p, q, n, d = value.p, value.q, value.n, value.d
     else:
-        a, b, d = Fraction(value), Fraction(0), 0
-    scaled_a = a * shift
-    total = scaled_a.numerator // scaled_a.denominator
-    if b:
-        scaled_b = b * shift
-        u, w = abs(scaled_b.numerator), scaled_b.denominator
-        radical_floor = isqrt(u * u * d) // w
-        if b > 0:
+        (p, n), q, d = Fraction(value).as_integer_ratio(), 0, 0
+    # floor(a * shift) + floor(b * shift * sqrt(d)) for value = (p + q*sqrt(d)) / n
+    total = p * shift // n
+    if q:
+        u = abs(q) * shift
+        radical_floor = isqrt(u * u * d) // n
+        if q > 0:
             total += radical_floor
         else:
-            exact = (u * u * d) == (radical_floor * w) ** 2
+            exact = (u * u * d) == (radical_floor * n) ** 2
             total -= radical_floor if exact else radical_floor + 1
     guard = 10**_GUARD_DIGITS
     digits = (total + guard // 2) // guard

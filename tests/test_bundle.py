@@ -322,7 +322,10 @@ def test_decimal_approx_pins():
     assert decimal_approx(QuadExt(0, 1, 2)) == "1.414213562373"
     assert decimal_approx(QuadExt(0, -1, 2)) == "-1.414213562373"
     assert decimal_approx(Q(1, 3)) == "0.333333333333"
+    assert decimal_approx(Q(10**20, 3)) == "33333333333333333333.333333333333"
     assert decimal_approx(Q(1, 2)) == "0.500000000000"
     assert decimal_approx(Q(0)) == "0.000000000000"
     assert decimal_approx(QuadExt(Q(1, 2), Q(1, 6), 3)) == "0.788675134595"
     assert decimal_approx(volume_L(BaseSurface(1, 2, 1))) == "0.288675134595"
+    # an exact root, on a radicand taken as reduced, rounds at a half as the rational does
+    assert decimal_approx(QuadExt._reduced(Q(1, 2 * 10**12), Q(-1), 4)) == "-1.999999999999"

@@ -779,9 +779,25 @@ def test_cutkosky_solves_each_quadratic_once(monkeypatch, capsys):
     assert calls == {"quadratic_roots": 1, "split_square": 1}
 
 
-# sha256 of the 121 reports below, each as ``json.dumps(report, sort_keys=True)``
-# without its timing, fed in base order
+# sha256 of the reports of each sweep below, each as ``json.dumps(report,
+# sort_keys=True)`` without its timing, fed in base order
 CUTKOSKY_SWEEP_DIGEST = "2d6369f33e3dd003e471e2d304687527f5bcb1f697d91677d9fb676aa6501328"
+CUTKOSKY_FRACTIONAL_DIGEST = "2e7e834c9a56cdfba55b03ffeedac00029f54307aaa82abdce878d2e3615c91b"
+
+
+def cutkosky_sweep(bases, capsys) -> tuple[str, Counter]:
+    """The digest of the reports over `bases`, and their roots by
+    ``(count, all rational)``."""
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for base in bases:
+        code, report = run_cli(["cutkosky", "--base", base], capsys)
+        assert code == 0
+        report.pop("timing_ms")
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        roots = report["result"]["mu_roots"]
+        kinds[len(roots), all(isinstance(r, str) for r in roots)] += 1
+    return digest.hexdigest(), kinds
 
 
 def test_cutkosky_reports_over_the_sweep_are_pinned(capsys):
@@ -789,14 +805,18 @@ def test_cutkosky_reports_over_the_sweep_are_pinned(capsys):
     workload runs: 8 whose quadratic has one root, 18 with two rational roots
     and 95 with irrational ones, each report as it was first recorded."""
     sweep_bases = runpy.run_path(str(TESTS_DIR.parent / "scripts/run_cutkosky.py"))["sweep_bases"]
-    digest = hashlib.sha256()
-    kinds = Counter()
-    for base in sweep_bases(6):
-        code, report = run_cli(["cutkosky", "--base", base], capsys)
-        assert code == 0
-        report.pop("timing_ms")
-        digest.update(json.dumps(report, sort_keys=True).encode())
-        roots = report["result"]["mu_roots"]
-        kinds[len(roots), all(isinstance(r, str) for r in roots)] += 1
+    digest, kinds = cutkosky_sweep(sweep_bases(6), capsys)
     assert kinds == {(1, True): 8, (2, True): 18, (2, False): 95}
-    assert digest.hexdigest() == CUTKOSKY_SWEEP_DIGEST
+    assert digest == CUTKOSKY_SWEEP_DIGEST
+
+
+def test_cutkosky_reports_over_fractional_bases_are_pinned(capsys):
+    """The admissible bases ``a/k, b, c/k'`` with ``a, b, c <= 4`` and
+    ``{k, k'} = {2, 3}``, whose roots and volumes have denominators past 1
+    (the integer sweep's rarely do), each report as recorded before
+    ``QuadExt`` held its values as integers."""
+    bases = [f"{a}/{k},{b},{c}/{5 - k}" for a in range(1, 5) for b in range(1, 5)
+             for c in range(1, 5) for k in (2, 3) if a * c <= b * b * 6]
+    digest, kinds = cutkosky_sweep(bases, capsys)
+    assert len(bases) == 116 and kinds == {(1, True): 4, (2, False): 112}
+    assert digest == CUTKOSKY_FRACTIONAL_DIGEST

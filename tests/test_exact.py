@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import permutations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from zariski import (
     MixedRadicandError,
     QuadExt,
     as_vector,
+    decimal_approx,
     exact,
     gram_matrix,
     inner,
@@ -272,6 +273,130 @@ def test_quadext_sign_against_integer_interval_oracle(a, b, d):
         # can only be the exact rational zero
         assert a == 0 and b == 0
         assert x.sign() == 0
+
+
+# -- a Fraction reference: the rules of QuadExt on (a, b, d) triples ------------
+
+
+def ref_quad(a, b=0, d=0) -> tuple[Q, Q, int]:
+    """The triple that ``QuadExt(a, b, d)`` stands for."""
+    a, b, d = Q(a), Q(b), int(d)
+    if b and d > 1:
+        s, d = split_square(d)
+        b *= s
+    return ref_reduced(a, b, d)
+
+
+def ref_reduced(a: Q, b: Q, d: int) -> tuple[Q, Q, int]:
+    if d <= 1:
+        a, b, d = a + b * d, Q(0), 0
+    return (a, b, d) if b else (a, b, 0)
+
+
+def ref_radicand(x, y) -> int:
+    if x[2] and y[2] and x[2] != y[2]:
+        raise MixedRadicandError(f"cannot combine sqrt({x[2]}) with sqrt({y[2]})")
+    return x[2] or y[2]
+
+
+def ref_add(x, y):
+    return ref_reduced(x[0] + y[0], x[1] + y[1], ref_radicand(x, y))
+
+
+def ref_neg(x):
+    return ref_reduced(-x[0], -x[1], x[2])
+
+
+def ref_mul(x, y):
+    d = ref_radicand(x, y)
+    return ref_reduced(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
+
+
+def ref_sign(x) -> int:
+    a, b, d = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if b == 0 or a == 0 or sa == sb:
+        return sa or sb
+    lhs, rhs = a * a, b * b * d
+    return 0 if lhs == rhs else (sa if lhs > rhs else sb)
+
+
+def ref_str(x) -> str:
+    a, b, d = x
+    if b == 0:
+        return str(a)
+    radical = f"sqrt({d})" if abs(b) == 1 else f"{abs(b)}*sqrt({d})"
+    if a == 0:
+        return radical if b > 0 else f"-{radical}"
+    return f"{a} {'+' if b > 0 else '-'} {radical}"
+
+
+def ref_decimal(x) -> str:
+    """floor(a * 10^27) + floor(b * sqrt(d) * 10^27), rounded to 12 places."""
+    a, b, d = x
+    shift, guard = 10**27, 10**15
+    total = (a * shift).numerator // (a * shift).denominator
+    if b:
+        u, w = abs((b * shift).numerator), (b * shift).denominator
+        radical_floor = isqrt(u * u * d) // w
+        if b > 0:
+            total += radical_floor
+        else:
+            exact_root = u * u * d == (radical_floor * w) ** 2
+            total -= radical_floor if exact_root else radical_floor + 1
+    digits = (total + guard // 2) // guard
+    int_part, frac_part = divmod(abs(digits), 10**12)
+    return f"{'-' if digits < 0 else ''}{int_part}.{frac_part:012d}"
+
+
+def check_against_reference(x: QuadExt, ref) -> None:
+    """`x` reads as the triple `ref`, presents and hashes as the reference does,
+    and stores ``(p + q*sqrt(d)) / n`` in lowest terms with ``n > 0`` and
+    ``q == 0`` exactly when ``d == 0``."""
+    assert (x.a, x.b, x.d) == ref
+    assert x.n > 0 and gcd(x.p, x.q, x.n) == 1 and (x.q == 0) == (x.d == 0)
+    assert (x.p, x.q) == (ref[0] * x.n, ref[1] * x.n)
+    assert str(x) == ref_str(ref)
+    assert repr(x) == f"QuadExt({ref[0]}, {ref[1]}, {ref[2]})"
+    assert hash(x) == (hash(ref[0]) if ref[1] == 0 else hash(ref))
+    assert x.is_rational is (ref[1] == 0)
+    assert x.sign() == ref_sign(ref) and bool(x) is (ref_sign(ref) != 0)
+    assert decimal_approx(x) == ref_decimal(ref)
+
+
+# each operand drawn with the triple it stands for
+quad_operands = st.tuples(rationals, rationals, st.sampled_from([0, 1, 2, 3, 5, 12, 18])).map(
+    lambda t: (QuadExt(*t), ref_quad(*t)))
+operands = st.one_of(
+    st.integers(-6, 6).map(lambda k: (k, (Q(k), Q(0), 0))),
+    rationals.map(lambda f: (f, (f, Q(0), 0))),
+    quad_operands,
+)
+
+
+@given(quad_operands, operands, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_quadext_agrees_with_the_fraction_reference(x, y, flip):
+    """Construction, ``+ - *``, negation, sign and order, hash and presentation
+    equal the rules on Fraction triples, with an int, a Fraction or a QuadExt
+    on either side of a QuadExt; radicands 12 and 18 reduce to 3 and 2."""
+    check_against_reference(*x)
+    check_against_reference(-x[0], ref_neg(x[1]))
+    (u, ru), (v, rv) = (y, x) if flip else (x, y)
+    ops = [lambda: u + v, lambda: u - v, lambda: u * v, lambda: u == v, lambda: u < v]
+    try:
+        ref_radicand(ru, rv)
+    except MixedRadicandError:
+        for op in ops:
+            with pytest.raises(MixedRadicandError):
+                op()
+        return
+    check_against_reference(u + v, ref_add(ru, rv))
+    check_against_reference(u - v, ref_add(ru, ref_neg(rv)))
+    check_against_reference(u * v, ref_mul(ru, rv))
+    s = ref_sign(ref_add(ru, ref_neg(rv)))
+    assert [u == v, u != v, u < v, u <= v, u > v, u >= v] == [
+        s == 0, s != 0, s < 0, s <= 0, s > 0, s >= 0]
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,31 @@ def test_the_loop_stays_in_integers():
     assert calls == []
 
 
+def test_quadext_arithmetic_stays_in_integers():
+    """The ring operations, `_unify`, the sign and the comparisons of ``QuadExt``
+    build no ``Fraction``: they name it only as a type to test against, construct
+    no ``QuadExt`` (whose constructor reads Fractions), and read neither of the
+    Fraction properties ``a`` and ``b``."""
+    tree = ast.parse((ROOT / "src/zariski/exact.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if getattr(node, "name", None) == "QuadExt"]
+    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    names = ["_unify", "__add__", "__sub__", "__rsub__", "__mul__", "__neg__",
+             "sign", "_diff_sign", "__eq__", "__lt__"]
+
+    def calls(node, fn: str) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == fn
+
+    found = []
+    for name in names:
+        nodes = list(ast.walk(methods[name]))
+        types = {id(t) for node in nodes if calls(node, "isinstance") for t in ast.walk(node.args[1])}
+        found += [(name, node.lineno) for node in nodes
+                  if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in types
+                  or isinstance(node, ast.Attribute) and node.attr in ("a", "b")
+                  or calls(node, "QuadExt")]
+    assert found == []
+
+
 def _layer_functions() -> dict:
     """``LAYER_FUNCTIONS`` of the benchmark's span table, read without importing it."""
     tree = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))

@@ -59,13 +59,11 @@ from zariski import bundle, cli
 from zariski.engine import decompose
 from zariski.fixtures import del_pezzo
 from zariski.serialize import (
-    decimal_approx,
     decomposition_to_json,
     dump_model,
     load_model,
     parse_base_literal,
     parse_class_literal,
-    scalar_to_json,
     to_text,
 )
 
@@ -115,24 +113,11 @@ def cutkosky_once(argv: list[str]) -> tuple[dict[str, int], str]:
     times, lap = stopwatch()
     base = parse_base_literal(cli._parser().parse_args(argv).base)
     lap("argv")
-    roots = bundle._threshold_roots(base, bundle.L)
-    z, mu = bundle._split_at_roots(base, bundle.L, roots)
+    roots, z, mu = bundle._threshold_split(base, bundle.L)
     lap("roots_split")
     vol = bundle.intersect3(base, z, z, z)
     lap("volume")
-    result = {
-        "base": {"D^2": to_text(base.d_sq), "D.H": to_text(base.dh), "H^2": to_text(base.h_sq)},
-        "mu": scalar_to_json(mu),
-        "mu_decimal": decimal_approx(mu),
-        "mu_roots": [scalar_to_json(r) for r in roots],
-        "zariski_class": {"L": scalar_to_json(z.t), "pi*D": scalar_to_json(z.x),
-                          "pi*H": scalar_to_json(z.y)},
-        "negative_coefficient": scalar_to_json(mu),
-        "volume": scalar_to_json(vol),
-        "volume_decimal": decimal_approx(vol),
-        "volume_is_rational": bundle.is_rational(vol),
-        "note": "decimal fields are approximate (12 places); 'mu' and 'volume' are exact",
-    }
+    result = cli._cutkosky_result(base, roots, z, mu, vol)
     text = json.dumps({"command": "cutkosky", "result": result}, indent=2)
     lap("render")
     return times, text

@@ -52,7 +52,7 @@ def main() -> int:
     args = parser.parse_args()
 
     literals = args.base or (
-        sweep_bases(args.max_entry) if args.max_entry else DEFAULT_BASES
+        sweep_bases(args.max_entry) if args.max_entry is not None else DEFAULT_BASES
     )
     header = (
         f"{'base':>10} | {'mu':>22} | {'mu ~':>14} | "

@@ -119,15 +119,6 @@ def intersect3(
     return _as_scalar(total)
 
 
-def _threshold_roots(base: BaseSurface, alpha: BundleClass) -> tuple[QuadExt, ...]:
-    """Roots of ``g(s)^2 = 0`` in ``s``, ascending, for the base class
-    ``g(s) = w + s(D + H)`` of :func:`decompose_bundle`, ``w = xD + (y - t)H``."""
-    w = (alpha.x, alpha.y - alpha.t)
-    return quadratic_roots(
-        base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
-    )
-
-
 def mu_L(base: BaseSurface) -> Scalar:
     """Smallest ``t > 0`` with ``-H + t(D + H)`` nef on the base.
 
@@ -172,21 +163,27 @@ def decompose_bundle(
             f"got {alpha}"
         )
 
-    return _split_at_roots(base, alpha, _threshold_roots(base, alpha))
+    return _threshold_split(base, alpha)[1:]
 
 
-def _split_at_roots(
-    base: BaseSurface, alpha: BundleClass, roots: tuple[QuadExt, ...]
-) -> tuple[BundleClass, Scalar]:
-    """The split of :func:`decompose_bundle` for a class ``alpha`` whose
-    ``g(0)`` is not nef, given the roots of its threshold quadratic."""
+def _threshold_split(
+    base: BaseSurface, alpha: BundleClass
+) -> tuple[tuple[QuadExt, ...], BundleClass, Scalar]:
+    """``(roots, Z, s)`` for a class whose ``g(0)`` is not nef: the roots of
+    ``g(s)^2 = 0``, ascending, for the base class ``g(s) = w + s(D + H)``,
+    ``w = xD + (y - t)H``, of :func:`decompose_bundle`, and its split at the
+    larger one."""
     t, x, y = alpha.t, alpha.x, alpha.y
+    w = (x, y - t)
+    roots = quadratic_roots(
+        base.pair((1, 1), (1, 1)), 2 * base.pair(w, (1, 1)), base.pair(w, w)
+    )
     s = roots[-1] if roots else None
     if s is None or not (0 < s <= t and base.in_nef_cone((x + s, y - t + s))):
         raise InternalInconsistencyError(
             f"no nef negative-part coefficient in (0, {t}] for {alpha} over {base}"
         )
-    return BundleClass(t - s, x + s, y), _as_scalar(s)
+    return roots, BundleClass(t - s, x + s, y), _as_scalar(s)
 
 
 def volume_L(base: BaseSurface) -> Scalar:

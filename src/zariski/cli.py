@@ -108,31 +108,29 @@ def cmd_cutkosky(args) -> tuple[dict, dict | None, int]:
     base = parse_base_literal(args.base)
     # L is pseudo-effective and its g(0) = -H is not nef on any base, so the
     # one solve of L's threshold quadratic gives both the roots and the split
-    roots = bundle._threshold_roots(base, bundle.L)
-    z, mu = bundle._split_at_roots(base, bundle.L, roots)
+    roots, z, mu = bundle._threshold_split(base, bundle.L)
     vol = bundle.intersect3(base, z, z, z)
-    result = {
-        "base": {
-            "D^2": to_text(base.d_sq),
-            "D.H": to_text(base.dh),
-            "H^2": to_text(base.h_sq),
-        },
+    return _cutkosky_result(base, roots, z, mu, vol), None, EXIT_OK
+
+
+def _cutkosky_result(base, roots, z, mu, vol) -> dict:
+    """The ``cutkosky`` result for L's split ``z + mu*E`` over ``base``, given
+    the roots of L's threshold quadratic and the volume ``z^3``."""
+    from .bundle import is_rational
+
+    return {
+        "base": {"D^2": to_text(base.d_sq), "D.H": to_text(base.dh), "H^2": to_text(base.h_sq)},
         "mu": scalar_to_json(mu),
         "mu_decimal": decimal_approx(mu),
         "mu_roots": [scalar_to_json(r) for r in roots],
-        "zariski_class": {
-            "L": scalar_to_json(z.t),
-            "pi*D": scalar_to_json(z.x),
-            "pi*H": scalar_to_json(z.y),
-        },
+        "zariski_class": {"L": scalar_to_json(z.t), "pi*D": scalar_to_json(z.x),
+                          "pi*H": scalar_to_json(z.y)},
         "negative_coefficient": scalar_to_json(mu),
         "volume": scalar_to_json(vol),
         "volume_decimal": decimal_approx(vol),
-        "volume_is_rational": bundle.is_rational(vol),
-        "note": "decimal fields are approximate (12 places); "
-        "'mu' and 'volume' are exact",
+        "volume_is_rational": is_rational(vol),
+        "note": "decimal fields are approximate (12 places); 'mu' and 'volume' are exact",
     }
-    return result, None, EXIT_OK
 
 
 def cmd_check(args) -> tuple[dict, dict | None, int]:

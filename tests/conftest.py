@@ -18,7 +18,7 @@ from zariski import (
     gen_pseudoeffective_class,
     spec_grid,
 )
-from zariski.exact import gram_matrix, inner, is_negative_definite
+from zariski.exact import inner
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,11 +67,29 @@ def vec_scale(c, u) -> tuple:
     return tuple(c * a for a in u)
 
 
+def _negative_definite(rows) -> bool:
+    """Gaussian elimination without pivoting: all pivots negative (Sylvester).
+    It divides with ``/``, so every entry must be a Fraction."""
+    m = [list(row) for row in rows]
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k] >= 0:
+            return False
+        for row in m[k + 1:]:
+            f = row[k] / pivot_row[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot_row[k:])]
+    return True
+
+
 def is_exceptional_family(model: ConeModel, names) -> bool:
     """The naive filter the family walk is checked against: whether the
-    named primes have a negative definite Gram matrix."""
+    named primes have a negative definite Gram matrix.  The Gram is built
+    entry by entry in plain Fraction arithmetic from the form and reduced by
+    `_negative_definite`, so it shares no kernel with the walk."""
     vecs = [model.prime_vec[n] for n in names]
-    return is_negative_definite(gram_matrix(model.form, vecs).cleared[0])
+    images = [[sum((x * y for x, y in zip(row, u) if y), Fraction(0))
+               for row in model.form.entries] for u in vecs]
+    return _negative_definite([[sum((x * y for x, y in zip(qu, v) if y), Fraction(0))
+                                for v in vecs] for qu in images])
 
 
 grid_specs = spec_grid  # the name perfbench/test_bench.py compares its own grid with

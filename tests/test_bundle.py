@@ -10,6 +10,7 @@ from zariski import (
     BaseSurface,
     BundleClass,
     FormatError,
+    InternalInconsistencyError,
     IrrationalClassError,
     MixedRadicandError,
     NotPseudoEffectiveError,
@@ -21,6 +22,7 @@ from zariski import (
     mu_L,
     volume_L,
 )
+from zariski import bundle
 from zariski.bundle import L
 from zariski.serialize import scalar_to_json
 
@@ -212,6 +214,23 @@ def test_irrational_class_outside_nef_cone_is_rejected():
     base = BaseSurface(1, 2, 1)
     with pytest.raises(IrrationalClassError):
         decompose_bundle(base, BundleClass(QuadExt(0, 1, 2), 0, 0))
+
+
+def test_a_class_over_the_zero_base_class_is_all_negative_part():
+    """Over ``D = H`` numerically, ``L - pi*D`` projects to zero, so the
+    threshold is the fiber coefficient itself: ``s = t``."""
+    assert decompose_bundle(BaseSurface(1, 1, 1), BundleClass(1, -1, 0)) == (
+        BundleClass(0, 0, 0), Q(1))
+
+
+@pytest.mark.parametrize("roots", [(), (Q(0),), (Q(2),), (Q(1, 4),)],
+                         ids=["none", "zero", "past-t", "not-nef"])
+def test_a_wrong_threshold_root_is_an_internal_inconsistency(monkeypatch, roots):
+    """The split re-checks the root it is handed: no root, one outside
+    ``(0, t]`` or one where ``g(s)`` is not nef raises instead of splitting."""
+    monkeypatch.setattr(bundle, "quadratic_roots", lambda *coefficients: roots)
+    with pytest.raises(InternalInconsistencyError):
+        decompose_bundle(BaseSurface(1, 2, 1), L)
 
 
 def test_decomposition_reconstructs_and_z_is_nef():

@@ -38,7 +38,13 @@ from zariski import engine
 from zariski.exact import (as_vector, clear_denominators, combine, describe, gram_matrix, inner,
                            solve_symmetric)
 
-from conftest import is_exceptional_family, orthogonal_sets, vec_add, vec_scale
+from conftest import (
+    _negative_definite,
+    is_exceptional_family,
+    orthogonal_sets,
+    vec_add,
+    vec_scale,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -460,18 +466,6 @@ def test_verify_certificate_clean_result_has_no_violations(s2):
     )
     assert cert.all_passed
     assert violations == []
-
-
-def _negative_definite(rows) -> bool:
-    """Gaussian elimination without pivoting: all pivots negative (Sylvester)."""
-    m = [list(row) for row in rows]
-    for k, pivot_row in enumerate(m):
-        if pivot_row[k] >= 0:
-            return False
-        for row in m[k + 1:]:
-            f = row[k] / pivot_row[k]
-            row[k:] = [x - f * y for x, y in zip(row[k:], pivot_row[k:])]
-    return True
 
 
 def _reference_verify(model, alpha, positive_part, negative_coeffs):

@@ -214,6 +214,26 @@ def test_scripts_run(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_run_cutkosky_sweeps_no_base_at_max_entry_zero():
+    """``--max-entry 0`` is an empty sweep, not the default bases."""
+    proc = run_fresh(str(ROOT / "scripts/run_cutkosky.py"), "--max-entry", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("0 bases, 0 with irrational volume.\n")
+
+
+@pytest.mark.parametrize("base", ["1,1,1", "1,2,3", "1,2,1"])
+def test_command_phases_renders_the_cutkosky_report(base, capsys):
+    """The timed phases of `scripts/command_phases.py` render the result `cli.main`
+    prints, at a base with one root, two rational roots and two irrational roots."""
+    from zariski import cli
+
+    cutkosky_once = runpy.run_path(str(ROOT / "scripts/command_phases.py"))["cutkosky_once"]
+    argv = ["cutkosky", "--base", base]
+    _, text = cutkosky_once(argv)
+    assert cli.main(argv) == 0
+    assert json.loads(text)["result"] == json.loads(capsys.readouterr().out)["result"]
+
+
 @pytest.mark.parametrize("path", [p for p in sorted((ROOT / "scripts/mutants").glob("*.json"))
                                   if not p.name.endswith(".record.json")],
                          ids=lambda p: p.name)

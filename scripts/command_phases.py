@@ -7,12 +7,14 @@ command on a fresh load, as ``cli.main`` does:
 
     argv       parsing the arguments and the class literal
     load_model reading and coercing the model file
-    validate   the cone-axiom report (the integer view and the signature)
+    compile    building ``model.compiled``, the integer view
+    checks     the rest of the cone-axiom report (the signature and the sign tests)
     decompose  ``engine.decompose`` on the loaded model
     render     the report dict and its indented JSON text
 
 and, apart from them, the whole command through ``cli.main`` with stdout
-captured.  The class is ``2h + e1 + e2``.  Times are medians of
+captured.  The class is ``2h + e1 + e2``; its rendered report is checked
+once against the one the command prints.  Times are medians of
 ``time.process_time_ns`` in milliseconds.
 
 The cold columns are the same command as a fresh ``python -m zariski.cli``
@@ -67,7 +69,7 @@ from zariski.serialize import (
     to_text,
 )
 
-PHASES = ("argv", "load_model", "validate", "decompose", "render")
+PHASES = ("argv", "load_model", "compile", "checks", "decompose", "render")
 COLD = ("cold", "python")
 COLD_STARTS = 15
 IMPORT_RUNS = 3
@@ -87,24 +89,27 @@ def stopwatch():
     return times, lap
 
 
-def phases_once(argv: list[str]) -> dict[str, int]:
-    """One command's phases, each timed in process-time nanoseconds."""
+def phases_once(argv: list[str]) -> tuple[dict[str, int], str]:
+    """One ``decompose`` command's phases, each timed in process-time nanoseconds,
+    and the report's text."""
     times, lap = stopwatch()
     args = cli._parser().parse_args(argv)
     alpha = parse_class_literal(getattr(args, "class"))
     lap("argv")
     model = load_model(args.model)
     lap("load_model")
+    model.compiled
+    lap("compile")
     model.require_valid()
-    lap("validate")
+    lap("checks")
     dec = decompose(model, alpha)
     lap("decompose")
     result = decomposition_to_json(model, dec)
     report = {"command": args.command, "result": result,
               "certificate": result["certificate"]}
-    json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2)
     lap("render")
-    return times
+    return times, text
 
 
 def cutkosky_once(argv: list[str]) -> tuple[dict[str, int], str]:
@@ -181,10 +186,13 @@ def measure(r: int, workdir: Path, repeat: int) -> dict:
                                                model.primes[-1].vec)]
     literal = ",".join(to_text(x) for x in alpha)
     argv = ["decompose", "--model", str(path), f"--class={literal}"]
+    _, text = phases_once(argv)
+    if json.loads(text)["result"] != json.loads(command_once(argv)[1])["result"]:
+        raise SystemExit(f"the rendered phase of {argv} differs from the command's report")
     for _ in range(3):  # warm the parser and the interpreter's caches
         phases_once(argv)
         command_once(argv)
-    runs = [phases_once(argv) for _ in range(repeat)]
+    runs = [phases_once(argv)[0] for _ in range(repeat)]
     commands = [command_once(argv)[0] for _ in range(repeat)]
     row = {name: median(t[name] for t in runs) / 1e6 for name in PHASES}
     row["command"] = median(commands) / 1e6

@@ -47,9 +47,11 @@ def main() -> int:
         type=int,
         default=None,
         metavar="N",
-        help="sweep every admissible integral pairing with entries <= N",
+        help="sweep every admissible integral pairing with entries <= N (N >= 0)",
     )
     args = parser.parse_args()
+    if args.max_entry is not None and args.max_entry < 0:
+        parser.error(f"--max-entry must be nonnegative, got {args.max_entry}")
 
     literals = args.base or (
         sweep_bases(args.max_entry) if args.max_entry is not None else DEFAULT_BASES

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -55,6 +56,7 @@ class ValidationReport:
 
 
 _Pack = tuple[tuple[int, ...], int, int]  # (columns, offset, limit) of :func:`_pack`
+_Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -68,53 +70,68 @@ class CompiledModel:
     ``images[i] = form · primes[i]`` gives ``q(a, p_i) = a · images[i] /
     (scale * den * dens[i])`` for any integer vector ``a = den * alpha``, and
     the prime Gram ``gram[i][j] = primes[i] · form · primes[j]`` equals
-    ``scale * dens[i] * dens[j] * q(p_i, p_j)``.  ``pack`` is :func:`_pack` of
-    the images when there are more primes than coordinates, else ``None``.
+    ``scale * dens[i] * dens[j] * q(p_i, p_j)``.  With more primes than
+    coordinates :func:`_pack` builds the images and ``pack``, else ``pack`` is ``None``.
     """
 
     scale: int
-    form: tuple[tuple[int, ...], ...]
+    form: _Rows
     h: tuple[int, ...]
     h_den: int
-    primes: tuple[tuple[int, ...], ...]
+    primes: _Rows
     dens: tuple[int, ...]
     qh: tuple[int, ...]
-    images: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    images: _Rows
+    gram: _Rows
     pack: _Pack | None
 
 
-def _pack(images: Sequence[Sequence[int]]) -> _Pack | None:
-    """``(columns, offset, limit)`` for :func:`_scan`, or ``None`` once an image's
-    norm ``‖images[i]‖₁`` reaches ``2**63``.  ``columns[k]`` holds ``images[i][k]``
-    in its 64-bit field ``i`` (Kronecker substitution; on a little-endian machine
-    ``Σ_i images[i][k] · 2**(64 i)``), ``offset`` sets bit 63 of every field, and
-    a class with every entry in ``[-limit, limit]`` pairs with each image inside
-    ``(-2**63, 2**63)``."""
-    norm = max(sum(map(abs, image)) for image in images)
-    if norm >> 63:
-        return None
+def _fields(total: int, offset: int) -> list[int]:
+    """The fields ``x_i`` of ``total = Σ_i x_i · 2**(64 i)``, each in ``[-2**63, 2**63)``:
+    field ``i`` of ``total + offset`` is ``x_i + 2**63``, with no carry between fields,
+    and the XOR takes ``2**63`` off it modulo ``2**64`` for ``memoryview.cast("q")``."""
+    raw = ((total + offset) ^ offset).to_bytes(offset.bit_length() >> 3, sys.byteorder)
+    return memoryview(raw).cast("q").tolist()
+
+
+def _pack(form: _Rows, primes: _Rows, big: int) -> tuple[_Rows, _Pack | None]:
+    """``(images, pack)`` for more primes than coordinates, ``big`` the largest
+    ``|prime entry|``.  A column ``Σ_i x_i · 2**(64 i)`` holds ``x_i`` in its 64-bit field
+    ``i``.  If ``big · max_k ‖form[k]‖₁ < 2**63`` bounds every image entry, the image
+    columns are ``Σ_j form[k][j] · P_j`` over the packed prime columns ``P_j``; else each
+    image entry is one ``dot``.  ``pack`` is ``(columns, offset, limit)`` for :func:`_scan`,
+    or ``None`` once an image's norm ``‖images[i]‖₁`` reaches ``2**63``; ``offset`` sets
+    bit 63 of every field, and a class with every entry in ``[-limit, limit]`` pairs with
+    each image inside ``(-2**63, 2**63)``."""
     from array import array  # only a model that packs loads it
 
-    def packed(fields):  # field i of the result is fields[i] in [0, 2**64)
-        return int.from_bytes(array("Q", fields), sys.byteorder)
+    offset = int.from_bytes(array("Q", [1 << 63]) * len(primes), sys.byteorder)
 
-    offset = packed([1 << 63] * len(images))
-    columns = tuple(packed([x + (1 << 63) for x in column]) - offset for column in zip(*images))
-    return columns, offset, ((1 << 63) - 1) // max(norm, 1)
+    def packed(column: Sequence[int]) -> int:  # array("q") holds each entry mod 2**64
+        return (int.from_bytes(array("q", column), sys.byteorder) ^ offset) - offset
+
+    columns = None
+    if max(big, big * max(sum(map(abs, row)) for row in form)) >> 63:
+        images = tuple(tuple(sum(map(mul, row, vec)) for row in form) for vec in primes)
+    else:
+        prime_columns = [packed(column) for column in zip(*primes)]
+        columns = tuple(sum(map(mul, row, prime_columns)) for row in form)
+        images = tuple(zip(*[_fields(column, offset) for column in columns]))
+    norm = max(sum(map(abs, image)) for image in images)
+    if norm >> 63:
+        return images, None
+    columns = columns or tuple(map(packed, zip(*images)))  # the dot route packs its images
+    return images, (columns, offset, ((1 << 63) - 1) // max(norm, 1))
 
 
 def _scan(images: Sequence[Sequence[int]], pack: _Pack | None, a: Sequence[int]) -> list[int]:
     """``[dot(a, image) for image in images]``, as one big-integer product when
-    `pack` bounds every entry of ``a``.  Field ``i`` of ``Σ_k a_k columns[k] + offset``
-    is ``a · images[i] + 2**63``, with no carry between fields; the XOR with
-    ``offset`` takes ``2**63`` off each field modulo ``2**64``, which leaves
-    ``a · images[i]`` as a signed 64-bit integer for ``memoryview.cast("q")``."""
+    `pack` bounds every entry of ``a``: field ``i`` of ``Σ_k a_k columns[k]`` is
+    ``a · images[i]``, inside ``(-2**63, 2**63)``, which :func:`_fields` reads."""
     if pack is not None:
         columns, offset, limit = pack
         if -limit <= min(a) and max(a) <= limit:
-            packed = sum(map(mul, a, columns), offset) ^ offset
-            return memoryview(packed.to_bytes(8 * len(images), sys.byteorder)).cast("q").tolist()
+            return _fields(sum(map(mul, a, columns)), offset)
     return [dot(a, image) for image in images]
 
 
@@ -133,17 +150,13 @@ class ConeModel:
         if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             violations.append(f"exponent m must be a positive integer, got {self.m!r}")
         if len(self.h) != r:
-            violations.append(
-                f"reference class has length {len(self.h)}, expected {r}"
-            )
+            violations.append(f"reference class has length {len(self.h)}, expected {r}")
         for p in self.primes:
             if len(p.vec) != r:
-                violations.append(
-                    f"prime '{p.name}' has length {len(p.vec)}, expected {r}"
-                )
-        counts = Counter(p.name for p in self.primes)
-        for name in sorted(n for n, k in counts.items() if k > 1):
-            violations.append(f"duplicate prime name '{name}'")
+                violations.append(f"prime '{p.name}' has length {len(p.vec)}, expected {r}")
+        if len(names := {p.name for p in self.primes}) < len(self.primes):  # one repeats
+            counts = Counter(p.name for p in self.primes)
+            violations += [f"duplicate prime name '{n}'" for n in sorted(names) if counts[n] > 1]
         if violations:
             raise InvalidModelError(violations)
 
@@ -169,16 +182,25 @@ class ConeModel:
         """The integer view of the form, ``h`` and the primes, built once."""
         form, scale = self.form.cleared
         h, h_den = clear_denominators(self.h)
-        cleared = [clear_denominators(p.vec) for p in self.primes]
-        primes = tuple(vec for vec, _ in cleared)
-        dens = tuple(den for _, den in cleared)
-        images = tuple(tuple(sum(map(mul, row, vec)) for row in form) for vec in primes)
+        r, n = self.rank, len(self.primes)
+        flat, den = clear_denominators([x for p in self.primes for x in p.vec])
+        cleared = ([(flat[i * r:(i + 1) * r], 1) for i in range(n)] if den == 1  # one matrix
+                   else [clear_denominators(p.vec) for p in self.primes])
+        primes, dens = tuple(vec for vec, _ in cleared), tuple(d for _, d in cleared)
+        big = max(map(abs, chain.from_iterable(primes)), default=0)
         # packed only with more primes than coordinates: del Pezzo from r = 3, no grid model
-        pack = _pack(images) if len(primes) > self.rank > 0 else None
+        if n > r > 0:
+            images, pack = _pack(form, primes, big)
+        else:
+            images = tuple(tuple(sum(map(mul, row, vec)) for row in form) for vec in primes)
+            pack = None
+        if pack and big <= pack[2]:  # every prime within the limit, checked once
+            gram = tuple(tuple(_fields(sum(map(mul, u, pack[0])), pack[1])) for u in primes)
+        else:
+            gram = tuple(tuple(_scan(images, pack, u)) for u in primes)
         return CompiledModel(
-            scale=scale, form=form, h=h, h_den=h_den, primes=primes, dens=dens,
-            qh=tuple(sum(map(mul, row, h)) for row in form), images=images,
-            gram=tuple(tuple(_scan(images, pack, u)) for u in primes), pack=pack,
+            scale=scale, form=form, h=h, h_den=h_den, primes=primes, dens=dens, images=images,
+            qh=tuple(sum(map(mul, row, h)) for row in form), gram=gram, pack=pack,
         )
 
     # -- validation -----------------------------------------------------
@@ -194,9 +216,7 @@ class ConeModel:
         r = self.rank
         sig = signature(self.form.cleared[0])
         if sig != (1, r - 1, 0):
-            violations.append(
-                f"form has signature {sig}, expected Lorentzian (1, {r - 1}, 0)"
-            )
+            violations.append(f"form has signature {sig}, expected Lorentzian (1, {r - 1}, 0)")
             return ValidationReport(tuple(violations), tuple(warnings))
 
         c = self.compiled
@@ -217,17 +237,16 @@ class ConeModel:
                     f"q = {describe(Fraction(pairing, c.scale * c.h_den * den))}"
                 )
             elif pairing == 0:
-                warnings.append(
-                    f"prime '{p.name}' is orthogonal to h (boundary contact)"
-                )
-        for i, row in enumerate(c.gram):
-            for j in range(i + 1, len(row)):
-                if row[j] < 0:
-                    a, b = self.primes[i].name, self.primes[j].name
-                    violations.append(
-                        f"distinct primes '{a}', '{b}' must pair nonnegatively: q = "
-                        f"{describe(Fraction(row[j], c.scale * c.dens[i] * c.dens[j]))}"
-                    )
+                warnings.append(f"prime '{p.name}' is orthogonal to h (boundary contact)")
+        for i, row in enumerate(c.gram[:-1]):  # the last prime pairs with no later one
+            if min(row[i + 1:]) < 0:  # only a row with a negative pair is walked
+                for j in range(i + 1, len(row)):
+                    if row[j] < 0:
+                        a, b = self.primes[i].name, self.primes[j].name
+                        violations.append(
+                            f"distinct primes '{a}', '{b}' must pair nonnegatively: q = "
+                            f"{describe(Fraction(row[j], c.scale * c.dens[i] * c.dens[j]))}"
+                        )
         return ValidationReport(tuple(violations), tuple(warnings))
 
     @cached_property

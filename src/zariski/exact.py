@@ -326,12 +326,11 @@ class SymmetricForm:
                 raise DimensionMismatchError(
                     f"row {i} has length {len(row)}, expected {n}"
                 )
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(
-                        f"matrix is not symmetric at ({i}, {j})"
-                    )
+        if tuple(zip(*self.entries)) != self.entries:  # name the first asymmetric entry
+            for i in range(n):
+                for j in range(i):
+                    if self.entries[i][j] != self.entries[j][i]:
+                        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
 
     @property
     def rank(self) -> int:

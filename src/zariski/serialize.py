@@ -83,7 +83,7 @@ class Literals(dict):
 def vector_from_json(data: Any, literals: Literals, rank: int | None = None) -> Vector:
     if not isinstance(data, list):
         raise FormatError(f"expected a list of rationals, got {type(data).__name__}")
-    vec = tuple(map(literals.parse, data))
+    vec = tuple([literals[x] if type(x) is str else parse_rational(x) for x in data])
     if rank is not None and len(vec) != rank:
         raise FormatError(f"expected a vector of length {rank}, got {len(vec)}")
     return vec

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zariski import (
@@ -43,6 +43,14 @@ def test_validate_rejects_non_lorentzian_signature():
     report = model.validate()
     assert not report.ok
     assert any("signature" in v for v in report.violations)
+
+
+def test_validate_rejects_a_degenerate_form_with_one_positive_direction():
+    """A zero eigenvalue is not Lorentzian, though the positive index is 1."""
+    model = cone_model([[1, 0, 0], [0, -1, 0], [0, 0, 0]], {}, [1, 0, 0])
+    assert model.validate().violations == (
+        "form has signature (1, 1, 1), expected Lorentzian (1, 2, 0)",
+    )
 
 
 @pytest.mark.parametrize("h", [[0, 1], [1, 1]], ids=["negative", "isotropic"])
@@ -232,6 +240,22 @@ def test_packed_pairings_equal_one_dot_per_prime(model, data):
         assert (not images.passes) == (c.pack is not None and max(map(abs, a)) <= limit)
 
 
+@given(crowded_models())
+@settings(max_examples=200, deadline=None)
+@example(cone_model([[1, 0], [0, 2**62]], {"a": [2, 0], "b": [0, 1], "c": [1, 0]}, [1, 0]))
+@example(cone_model([[2**62]], {"a": [2], "b": [-1]}, [1]))
+@example(cone_model([[0]], {"a": [2**63], "b": [1]}, [1]))
+@example(cone_model([[1]], {"a": [3037000500], "b": [-1]}, [1]))
+def test_compiled_view_matches_one_dot_per_entry_on_crowded_models(model):
+    """Both routes to the images: a model whose largest prime entry, or that entry
+    times its widest form row, reaches ``2**63`` takes one ``dot`` an image entry, and
+    still packs when every image's norm stays below ``2**63`` (the first example);
+    any other model reads its images off the packed prime columns.  In the last
+    example the largest prime entry is one past the limit, so its Gram row is no
+    packed product: that entry squared passes ``2**63``."""
+    assert model.compiled == _compiled_by_entry(model)
+
+
 def test_a_pack_needs_a_coordinate_and_every_image_norm_below_2_63():
     inside = cone_model([[2**63 - 1]], {"a": [1], "b": [-1]}, [1])
     assert inside.compiled.pack[2] == 1
@@ -243,15 +267,49 @@ def test_a_pack_needs_a_coordinate_and_every_image_norm_below_2_63():
 
 def test_del_pezzo_models_pack_and_grid_models_do_not(pool, monkeypatch):
     """A model packs when it has more primes than coordinates: del Pezzo from r = 3,
-    whose Gram rows are then each one product, with no ``dot``, and none of the grid
-    models."""
+    whose Gram rows are then each one product, with no ``dot`` and no per-row bound
+    check in ``_scan``, and none of the grid models."""
     models = [del_pezzo(r) for r in range(1, 9)]
     assert [m.compiled.pack for m in models[:2]] == [None, None]
     monkeypatch.setattr(cone, "dot", None)
+    monkeypatch.setattr(cone, "_scan", None)
     assert all(m.compiled.pack for m in models[2:])
     monkeypatch.undo()
     assert [spec for spec, model, _ in pool if model.compiled.pack] == []
     assert all(len(model.primes) <= model.rank for _, model, _ in pool)
+
+
+def test_violations_come_in_prime_order_then_gram_row_order():
+    """The full report of a model that packs, with a rational prime, a zero class, a
+    prime negative on h, and negative pairs in the first, a middle and the last Gram
+    row (the last prime's pairs are read in the earlier rows)."""
+    model = cone_model(
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+        [("a", [1, 1, 0, 0]), ("b", [0, Q(1, 2), 0, 1]), ("c", [1, 0, 1, 0]),
+         ("z", [0, 0, 0, 0]), ("d", [0, 0, 0, -1]), ("n", [Q(-1, 3), 0, 0, 0]),
+         ("e", [1, 0, 0, 1]), ("f", [0, 0, 1, 1])],
+        [2, 0, 0, 0],
+    )
+    assert model.compiled.pack is not None
+    assert min(model.compiled.gram[-1][:-1]) < 0
+    report = model.validate()
+    assert report.violations == (
+        "prime 'z' is the zero class",
+        "prime 'n' pairs negatively with h: q = -2/3",
+        "distinct primes 'a', 'b' must pair nonnegatively: q = -1/2",
+        "distinct primes 'a', 'n' must pair nonnegatively: q = -1/3",
+        "distinct primes 'b', 'e' must pair nonnegatively: q = -1",
+        "distinct primes 'b', 'f' must pair nonnegatively: q = -1",
+        "distinct primes 'c', 'n' must pair nonnegatively: q = -1/3",
+        "distinct primes 'c', 'f' must pair nonnegatively: q = -1",
+        "distinct primes 'n', 'e' must pair nonnegatively: q = -1/3",
+        "distinct primes 'e', 'f' must pair nonnegatively: q = -1",
+    )
+    assert report.warnings == (
+        "prime 'b' is orthogonal to h (boundary contact)",
+        "prime 'd' is orthogonal to h (boundary contact)",
+        "prime 'f' is orthogonal to h (boundary contact)",
+    )
 
 
 def test_duplicate_names_are_each_reported_once_in_sorted_order():

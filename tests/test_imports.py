@@ -221,6 +221,14 @@ def test_run_cutkosky_sweeps_no_base_at_max_entry_zero():
     assert proc.stdout.endswith("0 bases, 0 with irrational volume.\n")
 
 
+def test_run_cutkosky_refuses_a_negative_max_entry():
+    """A negative ``--max-entry`` is an error, not an empty sweep."""
+    proc = run_fresh(str(ROOT / "scripts/run_cutkosky.py"), "--max-entry", "-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-entry must be nonnegative, got -3" in proc.stderr
+
+
 @pytest.mark.parametrize("base", ["1,1,1", "1,2,3", "1,2,1"])
 def test_command_phases_renders_the_cutkosky_report(base, capsys):
     """The timed phases of `scripts/command_phases.py` render the result `cli.main`
@@ -230,6 +238,25 @@ def test_command_phases_renders_the_cutkosky_report(base, capsys):
     cutkosky_once = runpy.run_path(str(ROOT / "scripts/command_phases.py"))["cutkosky_once"]
     argv = ["cutkosky", "--base", base]
     _, text = cutkosky_once(argv)
+    assert cli.main(argv) == 0
+    assert json.loads(text)["result"] == json.loads(capsys.readouterr().out)["result"]
+
+
+def test_command_phases_renders_the_decompose_report(tmp_path, capsys):
+    """The timed phases of `scripts/command_phases.py` render the result `cli.main`
+    prints for a ``decompose`` on del Pezzo r = 3, a model that packs."""
+    from zariski import cli, del_pezzo
+    from zariski.serialize import dump_model
+
+    phases_once = runpy.run_path(str(ROOT / "scripts/command_phases.py"))["phases_once"]
+    model = del_pezzo(3)
+    assert model.compiled.pack is not None
+    dump_model(model, tmp_path / "del_pezzo_3.json")
+    alpha = [2 * h + a + b for h, a, b in zip(model.h, model.primes[0].vec, model.primes[-1].vec)]
+    argv = ["decompose", "--model", str(tmp_path / "del_pezzo_3.json"),
+            "--class=" + ",".join(map(str, alpha))]
+    times, text = phases_once(argv)
+    assert list(times) == ["argv", "load_model", "compile", "checks", "decompose", "render"]
     assert cli.main(argv) == 0
     assert json.loads(text)["result"] == json.loads(capsys.readouterr().out)["result"]
 
